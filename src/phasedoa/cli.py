@@ -136,9 +136,7 @@ def _cmd_simulate(args):
     return 0
 
 
-def _diagnostics_writer(path):
-    fh = open(path, "a")
-
+def _diagnostics_writer(fh):
     def trace(iteration, info):
         fh.write("iter %d sigma_sq %.17g spike_sum %.17g delta %.17g\n"
                  % (iteration, info["noise_var"], info["spike_sum"],
@@ -146,7 +144,7 @@ def _diagnostics_writer(path):
         fh.write("# m_theta Sigma_theta\n")
         for m, v in zip(info["phase_means"], info["phase_variances"]):
             fh.write("%.17g %.17g\n" % (m, v))
-    return fh, trace
+    return trace
 
 
 def _cmd_estimate(args):
@@ -172,21 +170,11 @@ def _cmd_estimate(args):
         relax_iterations=values["relax_iterations"],
         order=values["order"])
 
-    fh = None
     if args.diagnostics:
-        fh, trace = _diagnostics_writer(args.diagnostics)
-        from .estimators import _vbem  # diagnostics hook lives on the core
-        if values["variant"] == "beamforming":
-            est = run_estimator("beamforming", y, dictionary, model, prior,
-                                est_config)
-        else:
-            phase_model = None if values["variant"] == "prvbem" else model
-            eff_prior = prior if values["variant"] == "pavbem" else \
-                BernoulliGaussianPrior(prior.sigma_x_sq,
-                                       np.ones(values["grid_size"]))
-            est = _vbem(y, dictionary, phase_model, eff_prior, est_config,
-                        trace=trace)
-        fh.close()
+        with open(args.diagnostics, "a") as fh:
+            est = run_estimator(values["variant"], y, dictionary, model,
+                                prior, est_config,
+                                trace=_diagnostics_writer(fh))
     else:
         est = run_estimator(values["variant"], y, dictionary, model, prior,
                             est_config)

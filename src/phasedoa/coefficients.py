@@ -5,6 +5,7 @@ q(x_i | s_i = 1) = CN(cond_mean_i, cond_var_i). The posterior mean of the
 amplitude is <z_i> = spike_prob_i * cond_mean_i.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,8 @@ def _atom_update(dhr, dd, p_i, sigma_x_sq, noise_var):
 
     Sigma(1) = s2*sx/(s2 + sx*dd), m(1) = sx/(s2 + sx*dd) * d_i^H r_i,
     log-odds = 0.5*log(Sigma(1)/sx) + |m(1)|^2/Sigma(1) + logit(p_i).
+    Runs on Python scalars; where math would raise, the guards give the
+    IEEE results (log 0 = -inf, x/0 = +-inf or nan, x*x overflows to inf).
     """
     denom = noise_var + sigma_x_sq * dd
     cond_var = noise_var * sigma_x_sq / denom
@@ -57,13 +60,20 @@ def _atom_update(dhr, dd, p_i, sigma_x_sq, noise_var):
         spike = 0.0
     else:
         # log-domain: the evidence exponent routinely exceeds 700
-        log_odds = (0.5 * np.log(cond_var / sigma_x_sq)
-                    + (cond_mean.real ** 2 + cond_mean.imag ** 2) / cond_var
-                    + np.log(p_i / (1.0 - p_i)))
-        if log_odds >= 0:
-            spike = 1.0 / (1.0 + np.exp(-log_odds))
+        ratio = cond_var / sigma_x_sq
+        energy = (cond_mean.real * cond_mean.real
+                  + cond_mean.imag * cond_mean.imag)
+        if cond_var:
+            evidence = energy / cond_var
         else:
-            e = np.exp(log_odds)
+            evidence = math.inf if energy else math.nan
+        log_odds = (0.5 * (math.log(ratio) if ratio else -math.inf)
+                    + evidence
+                    + math.log(p_i / (1.0 - p_i)))
+        if log_odds >= 0:
+            spike = 1.0 / (1.0 + math.exp(-log_odds))
+        else:
+            e = math.exp(log_odds)
             spike = e / (1.0 + e)
     return spike, cond_mean, cond_var
 
@@ -92,29 +102,38 @@ def update_atom(i, y_bar, posteriors, dictionary, prior, noise_var):
 def sweep_atoms(y_bar, posteriors, dictionary, prior, noise_var, order):
     """One Gauss-Seidel pass over all atoms in the given order.
 
-    The residual is maintained incrementally (subtract the atom's old
-    contribution, add the new one), so each update costs O(N).
+    Tracks c = D^H r, every atom's correlation with the residual
+    r = ybar - D<z>. Atom i sees d_i^H r_i = c_i + N <z_i>, and moving
+    <z_i> by delta moves c by -delta * D^H d_i, row i of the cached
+    dictionary.gram. One O(NM) product per sweep, then O(M) per atom.
+    The input posterior is left unchanged.
     """
     if noise_var <= 0:
         raise ValueError("noise_var must be positive")
     order = np.asarray(order)
     m = posteriors.spike_prob.shape[0]
-    if np.array_equal(np.sort(order), np.arange(m)) is False:
+    if not np.array_equal(np.sort(order), np.arange(m)):
         raise ValueError("order must be a permutation of the atom indices")
     d = dictionary.columns
-    dd = dictionary.n_sensors
-    out = posteriors.copy()
-    residual = y_bar - d @ out.z_mean()
-    for i in order:
-        old = out.spike_prob[i] * out.cond_mean[i]
-        spike, mean, var = _atom_update(np.vdot(d[:, i], residual + d[:, i] * old),
-                                        dd, prior.occupancy[i],
-                                        prior.sigma_x_sq, noise_var)
-        out.spike_prob[i] = spike
-        out.cond_mean[i] = mean
-        out.cond_var[i] = var
-        residual += d[:, i] * (old - spike * mean)
-    return out
+    gram = dictionary.gram
+    n = dictionary.n_sensors
+    residual = y_bar - d @ posteriors.z_mean()
+    c = np.conj(np.conj(residual) @ d)  # D^H r without copying D^H
+    spike = posteriors.spike_prob.tolist()
+    mean = posteriors.cond_mean.tolist()
+    var = posteriors.cond_var.tolist()
+    occupancy = prior.occupancy.tolist()
+    sigma_x_sq = float(prior.sigma_x_sq)
+    noise_var = float(noise_var)
+    for i in order.tolist():
+        old = spike[i] * mean[i]
+        s, mu, v = _atom_update(c.item(i) + n * old, n, occupancy[i],
+                                sigma_x_sq, noise_var)
+        spike[i], mean[i], var[i] = s, mu, v
+        c -= gram[i] * (s * mu - old)
+    return CoefficientPosterior(spike_prob=np.array(spike, dtype=float),
+                                cond_mean=np.array(mean, dtype=complex),
+                                cond_var=np.array(var, dtype=float))
 
 
 def sweep_order(z_means, scheme):
@@ -133,7 +152,9 @@ def estimate_noise_variance(y, y_bar, posteriors, dictionary):
 
     The phase enters through ybar (first cross term); the quadratic term
     uses E|z_i|^2 = q_i (Sigma_i + |m_i|^2) and |<z_i>|^2 on the diagonal.
-    Returns the raw value; the caller applies the floor.
+    Returns the raw value; the caller applies the floor. A value further
+    below zero than rounding explains (1e-9 of the power of y) means y_bar
+    does not belong to y and raises FloatingPointError.
     """
     n = dictionary.n_sensors
     w = posteriors.z_mean()
@@ -146,5 +167,9 @@ def estimate_noise_variance(y, y_bar, posteriors, dictionary):
              + n * np.sum(second_moment - np.abs(w) ** 2))
     value = total / n
     # up to rounding the expectation cannot be negative
-    assert value >= -1e-9 * np.vdot(y, y).real / n
+    bound = -1e-9 * np.vdot(y, y).real / n
+    if not value >= bound:
+        raise FloatingPointError(
+            "noise variance %.17g is below its rounding bound %.17g; "
+            "y_bar is inconsistent with y" % (value, bound))
     return value

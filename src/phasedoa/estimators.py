@@ -53,13 +53,19 @@ class DoaEstimate:
     final_noise_var: float
 
 
-def pavbem(y, dictionary, phase_model, prior, config=None):
-    """Full phase-aware VBEM with the Bernoulli-Gaussian prior."""
+def pavbem(y, dictionary, phase_model, prior, config=None, trace=None):
+    """Full phase-aware VBEM with the Bernoulli-Gaussian prior.
+
+    trace, if given, is called after every outer iteration as
+    trace(iteration, info) with info holding noise_var, delta, spike_sum,
+    phase_means and phase_variances.
+    """
     config = config or EstimatorConfig(variant="pavbem")
-    return _vbem(y, dictionary, phase_model, prior, config)
+    return _vbem(y, dictionary, phase_model, prior, config, trace)
 
 
-def pavbem_relaxed(y, dictionary, phase_model, sigma_x_sq, config=None):
+def pavbem_relaxed(y, dictionary, phase_model, sigma_x_sq, config=None,
+                   trace=None):
     """Same loop with every p_i fixed at 1: the sparsity prior degenerates
     to a plain Gaussian and z_hat_i = cond_mean_i. Passing phase_model=None
     drops the Markov prior (flat phase), which is exactly the prVBEM
@@ -67,15 +73,15 @@ def pavbem_relaxed(y, dictionary, phase_model, sigma_x_sq, config=None):
     config = config or EstimatorConfig(variant="pavbem_relaxed")
     m = dictionary.columns.shape[1]
     prior = BernoulliGaussianPrior(sigma_x_sq=sigma_x_sq, occupancy=np.ones(m))
-    return _vbem(y, dictionary, phase_model, prior, config)
+    return _vbem(y, dictionary, phase_model, prior, config, trace)
 
 
-def prvbem_baseline(y, dictionary, sigma_x_sq, config=None):
+def prvbem_baseline(y, dictionary, sigma_x_sq, config=None, trace=None):
     """Non-informative-phase baseline: uniform phase prior (realized as a
     dropped chain prior, so q(theta_n) follows the pseudo-observations
     alone) and Gaussian amplitudes."""
     config = config or EstimatorConfig(variant="prvbem")
-    return pavbem_relaxed(y, dictionary, None, sigma_x_sq, config)
+    return pavbem_relaxed(y, dictionary, None, sigma_x_sq, config, trace)
 
 
 def beamforming(y, dictionary):
@@ -109,6 +115,8 @@ def _vbem(y, dictionary, phase_model, prior, config, trace=None):
     m = dictionary.columns.shape[1]
     if y.shape[0] != n:
         raise ValueError("observation length does not match sensor count")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observation must be finite")
     if prior.occupancy.shape[0] != m:
         raise ValueError("occupancy length does not match atom count")
 
@@ -128,7 +136,9 @@ def _vbem(y, dictionary, phase_model, prior, config, trace=None):
         # the warm phase runs with occupancy 1, so the first phase update
         # sees the full beamforming energy rather than the p-scaled one
         post.spike_prob[:] = 1.0
-    ones = np.ones(m)
+    # the relaxed warm-up runs with every occupancy clamped to 1
+    warm_prior = BernoulliGaussianPrior(sigma_x_sq=prior.sigma_x_sq,
+                                        occupancy=np.ones(m))
     w = post.z_mean()
 
     phase_post = None
@@ -144,12 +154,10 @@ def _vbem(y, dictionary, phase_model, prior, config, trace=None):
             phase_post = ph.smooth(pseudo, phase_model)
         y_bar = coef.phase_corrected_observation(y, phase_post)
 
-        p_eff = ones if warm else prior.occupancy
-        effective = BernoulliGaussianPrior(sigma_x_sq=prior.sigma_x_sq,
-                                           occupancy=p_eff)
         order = coef.sweep_order(w, config.order)
-        post = coef.sweep_atoms(y_bar, post, dictionary, effective,
-                                noise_var, order)
+        post = coef.sweep_atoms(y_bar, post, dictionary,
+                                warm_prior if warm else prior, noise_var,
+                                order)
         w_new = post.z_mean()
 
         if config.estimate_noise:
@@ -176,15 +184,18 @@ def _vbem(y, dictionary, phase_model, prior, config, trace=None):
                        final_noise_var=noise_var)
 
 
-def run_estimator(variant, y, dictionary, phase_model, prior, config):
-    """Dispatch helper used by the harness and the CLI."""
+def run_estimator(variant, y, dictionary, phase_model, prior, config,
+                  trace=None):
+    """Dispatch helper used by the harness and the CLI. trace is the
+    per-iteration hook of pavbem; beamforming has no iterations and never
+    calls it."""
     if variant == "beamforming":
         return beamforming(y, dictionary)
     if variant == "pavbem":
-        return pavbem(y, dictionary, phase_model, prior, config)
+        return pavbem(y, dictionary, phase_model, prior, config, trace)
     if variant == "pavbem_relaxed":
         return pavbem_relaxed(y, dictionary, phase_model, prior.sigma_x_sq,
-                              config)
+                              config, trace)
     if variant == "prvbem":
-        return prvbem_baseline(y, dictionary, prior.sigma_x_sq, config)
+        return prvbem_baseline(y, dictionary, prior.sigma_x_sq, config, trace)
     raise ValueError("unknown variant %r" % (variant,))

@@ -6,6 +6,7 @@ a sparse complex amplitude vector over the candidate-angle grid.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,12 @@ class SteeringDictionary:
     @property
     def n_atoms(self):
         return self.columns.shape[1]
+
+    @cached_property
+    def gram(self):
+        """Row i is D^H d_i, column i of the Gram matrix D^H D, stored
+        contiguously for the atom sweep. Built on first use."""
+        return self.columns.T @ self.columns.conj()
 
 
 @dataclass

@@ -80,14 +80,19 @@ def smooth(pseudo, model):
     information vector = pseudo.precisions * pseudo.values. Realized as a
     forward Kalman filter over theta_n = a*theta_{n-1} + w_n followed by an
     RTS backward pass; a zero pseudo-precision contributes no update.
+
+    The recursions run on Python floats (per-element numpy indexing costs
+    more than the arithmetic); IEEE double arithmetic in the same order
+    gives the same bits as the array form.
     """
     v = np.asarray(pseudo.values, dtype=float)
     lam = np.asarray(pseudo.precisions, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("pseudo-observation values must be finite")
     n = v.shape[0]
-    a = model.a
-    st = model.sigma_theta_sq
+    a = float(model.a)
+    aa = a * a
+    st = float(model.sigma_theta_sq)
 
     if n == 1:
         prec = 1 / model.sigma_1_sq + lam[0]
@@ -95,31 +100,27 @@ def smooth(pseudo, model):
         mean = var * lam[0] * v[0]
         return _with_moments(np.array([mean]), np.array([var]))
 
-    mp = np.empty(n)  # predicted mean
-    pp = np.empty(n)  # predicted variance
-    mf = np.empty(n)  # filtered mean
-    pf = np.empty(n)  # filtered variance
-    for t in range(n):
-        if t == 0:
-            mp[t] = 0.0
-            pp[t] = model.sigma_1_sq
-        else:
-            mp[t] = a * mf[t - 1]
-            pp[t] = a * a * pf[t - 1] + st
+    mp = [0.0] * n  # predicted mean
+    pp = [0.0] * n  # predicted variance
+    mf = [0.0] * n  # filtered mean
+    pf = [0.0] * n  # filtered variance
+    m_pred, p_pred = 0.0, float(model.sigma_1_sq)
+    for t, (vt, lt) in enumerate(zip(v.tolist(), lam.tolist())):
+        if t:
+            m_pred = a * m_filt
+            p_pred = aa * p_filt + st
         # gain written as p*lam/(p*lam + 1) so lam = 0 reduces to no update
-        g = pp[t] * lam[t] / (pp[t] * lam[t] + 1.0)
-        mf[t] = mp[t] + g * (v[t] - mp[t])
-        pf[t] = (1.0 - g) * pp[t]
+        g = p_pred * lt / (p_pred * lt + 1.0)
+        m_filt = m_pred + g * (vt - m_pred)
+        p_filt = (1.0 - g) * p_pred
+        mp[t], pp[t], mf[t], pf[t] = m_pred, p_pred, m_filt, p_filt
 
-    ms = np.empty(n)
-    ps = np.empty(n)
-    ms[-1] = mf[-1]
-    ps[-1] = pf[-1]
+    # backward pass: entries t+1.. of mf/pf already hold smoothed values
     for t in range(n - 2, -1, -1):
         c = pf[t] * a / pp[t + 1]
-        ms[t] = mf[t] + c * (ms[t + 1] - mp[t + 1])
-        ps[t] = pf[t] + c * c * (ps[t + 1] - pp[t + 1])
-    return _with_moments(ms, ps)
+        mf[t] += c * (mf[t + 1] - mp[t + 1])
+        pf[t] += c * c * (pf[t + 1] - pp[t + 1])
+    return _with_moments(np.array(mf), np.array(pf))
 
 
 def noninformative_posterior(pseudo):

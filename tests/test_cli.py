@@ -7,7 +7,8 @@ import pytest
 
 from phasedoa.cli import main
 from phasedoa.config import SCHEMA
-from phasedoa.io import load_ground_truth, load_observation
+from phasedoa.io import (load_ground_truth, load_observation,
+                         save_observation)
 
 SMALL = ["--set", "n_sensors=32", "--set", "grid_size=8"]
 
@@ -113,6 +114,17 @@ def test_estimate_unknown_variant(tmp_path, capsys):
     obs, _ = _simulate(tmp_path)
     assert main(["estimate", obs, "--variant", "music"] + SMALL) == 2
     assert "music" in capsys.readouterr().err
+
+
+def test_estimate_nonfinite_observation(tmp_path, capsys):
+    obs, _ = _simulate(tmp_path)
+    y, theta = load_observation(obs)
+    y[5] = complex(np.nan, 0.0)
+    save_observation(obs, y, theta)
+    for variant in ("pavbem", "prvbem"):
+        assert main(["estimate", obs, "--variant", variant] + SMALL) == 1
+        assert ("error: observation must be finite"
+                in capsys.readouterr().err)
 
 
 def test_estimate_writes_diagnostics(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from phasedoa.coefficients import (CoefficientPosterior,
+from phasedoa.coefficients import (CoefficientPosterior, _atom_update,
                                    estimate_noise_variance, initial_posterior,
                                    phase_corrected_observation, sweep_atoms,
                                    sweep_order, update_atom)
@@ -113,6 +113,94 @@ def test_sweep_matches_naive_sequential_updates():
         np.testing.assert_allclose(swept.cond_var, naive.cond_var, rtol=1e-12)
 
 
+def _protocol_setup(rng):
+    """Protocol dictionary (N=256, M=50, spacing 4): the aliased grid holds
+    duplicate columns, the hard case for a Gram-form residual."""
+    d = build_dictionary(256, 4.0, default_angle_grid(50))
+    prior = BernoulliGaussianPrior(sigma_x_sq=1.0,
+                                   occupancy=rng.uniform(0.05, 0.9, 50))
+    y_bar = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+    post = CoefficientPosterior(
+        spike_prob=rng.uniform(0.0, 1.0, 50),
+        cond_mean=rng.standard_normal(50) + 1j * rng.standard_normal(50),
+        cond_var=rng.uniform(0.1, 2.0, 50))
+    return d, prior, y_bar, post
+
+
+def test_sweep_matches_update_chain_on_protocol_dictionary():
+    rng = np.random.default_rng(31)
+    d, prior, y_bar, post = _protocol_setup(rng)
+    cols = d.columns
+    duplicated = np.abs(cols.conj().T @ cols) > 256 * (1 - 1e-9)
+    assert np.sum(duplicated) > 50  # some off-diagonal pair coincides
+    for noise_var in (0.01, 1.0):
+        order = sweep_order(post.z_mean(), "energy")
+        swept = sweep_atoms(y_bar, post, d, prior, noise_var, order)
+        naive = post
+        for i in order:
+            naive = update_atom(int(i), y_bar, naive, d, prior, noise_var)
+        np.testing.assert_allclose(swept.spike_prob, naive.spike_prob,
+                                   rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(swept.cond_mean, naive.cond_mean,
+                                   rtol=1e-10)
+        np.testing.assert_allclose(swept.cond_var, naive.cond_var,
+                                   rtol=1e-10)
+
+
+def test_sweep_leaves_input_unchanged():
+    rng = np.random.default_rng(32)
+    d, prior, y_bar, post = _protocol_setup(rng)
+    before = post.copy()
+    y_before = y_bar.copy()
+    sweep_atoms(y_bar, post, d, prior, 0.1, np.arange(50))
+    np.testing.assert_array_equal(post.spike_prob, before.spike_prob)
+    np.testing.assert_array_equal(post.cond_mean, before.cond_mean)
+    np.testing.assert_array_equal(post.cond_var, before.cond_var)
+    np.testing.assert_array_equal(y_bar, y_before)
+
+
+def test_gram_rows_are_adjoint_products():
+    d = build_dictionary(256, 4.0, default_angle_grid(50))
+    gram = d.gram
+    assert gram is d.gram  # built once per dictionary
+    assert gram.shape == (50, 50) and gram.flags.c_contiguous
+    adjoint = d.columns.conj().T
+    for i in range(50):
+        np.testing.assert_allclose(gram[i], adjoint @ d.columns[:, i],
+                                   rtol=1e-12, atol=1e-12 * 256)
+
+
+TINY = np.finfo(float).tiny
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("dhr, sigma_x_sq, noise_var, expected", [
+    # slab variance tiny/256 is subnormal, the evidence still finite
+    (1 + 1j, 1.0, TINY, (1.0, 0.00390625 + 0.00390625j, 8.691694759794e-311)),
+    # evidence |m|^2/Sigma overflows to inf
+    (100 + 0j, 1.0, TINY, (1.0, 0.390625 + 0j, 8.691694759794e-311)),
+    # slab variance underflows to 0: log 0 = -inf meets inf (or 0/0)
+    (1 + 1j, 1e-20, TINY, (NAN, 0.00390625 + 0.00390625j, 0.0)),
+    (0j, 1e-20, TINY, (NAN, 0j, 0.0)),
+    # |m|^2 overflows in the square
+    (1e200 + 1e200j, 1.0, 0.01,
+     (1.0, 3.9060974180696066e+197 + 3.9060974180696066e+197j,
+      3.906097418069607e-05)),
+    (-3e200 + 0j, 1.0, 0.01,
+     (1.0, -1.171829225420882e+198 + 0j, 3.906097418069607e-05)),
+    (1e200j, 1.0, TINY, (1.0, 3.90625e+197j, 8.691694759794e-311)),
+])
+def test_atom_update_extremes(dhr, sigma_x_sq, noise_var, expected):
+    # expected values are those of the numpy-scalar update this replaced;
+    # numpy scalars may warn on the way, Python scalars must not raise
+    for value in (complex(dhr), np.complex128(dhr)):
+        with np.errstate(all="ignore"):
+            spike, mean, var = _atom_update(value, 256, 0.1, sigma_x_sq,
+                                            noise_var)
+        np.testing.assert_array_equal([spike, var], [expected[0], expected[2]])
+        assert mean == expected[1]
+
+
 def test_sweep_on_zero_data_shrinks():
     rng = np.random.default_rng(2)
     d, prior, _, _ = _random_setup(rng)
@@ -202,6 +290,19 @@ class TestNoiseVariance:
         resid = y - np.exp(1j * theta) * (z @ d.columns.T)
         acc = np.mean(np.sum(np.abs(resid) ** 2, axis=1)) / n
         np.testing.assert_allclose(closed, acc, rtol=0.05)
+
+    def test_inconsistent_y_bar_raises(self):
+        # y_bar far larger than y drives the closed form negative, which no
+        # rounding explains; it must fail even under python -O
+        rng = np.random.default_rng(7)
+        d = build_dictionary(16, 4.0, default_angle_grid(4))
+        post = CoefficientPosterior(spike_prob=np.ones(4),
+                                    cond_mean=np.ones(4, dtype=complex),
+                                    cond_var=np.ones(4))
+        y = 0.01 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
+        y_bar = 10.0 * (d.columns @ post.z_mean())
+        with pytest.raises(FloatingPointError, match="rounding bound"):
+            estimate_noise_variance(y, y_bar, post, d)
 
     def test_never_negative(self):
         rng = np.random.default_rng(6)

@@ -195,6 +195,16 @@ def test_observation_length_checked():
         pavbem(np.ones(15, dtype=complex), d, MODEL, prior)
 
 
+@pytest.mark.parametrize("variant", ["pavbem", "prvbem"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_nonfinite_observation_rejected(variant, bad):
+    rng = np.random.default_rng(15)
+    d, prior, _, y = _instance(rng)
+    y[3] = bad
+    with pytest.raises(ValueError, match="^observation must be finite$"):
+        run_estimator(variant, y, d, MODEL, prior, EstimatorConfig())
+
+
 def test_run_estimator_dispatch():
     rng = np.random.default_rng(16)
     d, prior, _, y = _instance(rng)
@@ -205,3 +215,18 @@ def test_run_estimator_dispatch():
         assert est.z_hat.shape == (8,)
     with pytest.raises(ValueError):
         run_estimator("music", y, d, MODEL, prior, config)
+
+
+def test_run_estimator_passes_trace():
+    rng = np.random.default_rng(17)
+    d, prior, _, y = _instance(rng)
+    config = EstimatorConfig(max_iterations=4, relax_iterations=2)
+    for variant in ("pavbem", "pavbem_relaxed", "prvbem"):
+        seen = []
+        est = run_estimator(variant, y, d, MODEL, prior, config,
+                            trace=lambda t, info: seen.append(t))
+        assert seen == list(range(1, est.iterations_used + 1))
+    seen = []
+    run_estimator("beamforming", y, d, MODEL, prior, config,
+                  trace=lambda t, info: seen.append(t))
+    assert seen == []

@@ -44,6 +44,36 @@ def _dense_posterior(model, pseudo):
     return means, np.diag(cov)
 
 
+def _array_smooth(pseudo, model):
+    """The array-indexed Kalman/RTS loop that smooth() replaced with scalar
+    recursions. Same operations in the same order, so the two must agree
+    bit for bit."""
+    v = np.asarray(pseudo.values, dtype=float)
+    lam = np.asarray(pseudo.precisions, dtype=float)
+    n = v.shape[0]
+    a = model.a
+    st = model.sigma_theta_sq
+    mp, pp, mf, pf = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    for t in range(n):
+        if t == 0:
+            mp[t] = 0.0
+            pp[t] = model.sigma_1_sq
+        else:
+            mp[t] = a * mf[t - 1]
+            pp[t] = a * a * pf[t - 1] + st
+        g = pp[t] * lam[t] / (pp[t] * lam[t] + 1.0)
+        mf[t] = mp[t] + g * (v[t] - mp[t])
+        pf[t] = (1.0 - g) * pp[t]
+    ms, ps = np.empty(n), np.empty(n)
+    ms[-1] = mf[-1]
+    ps[-1] = pf[-1]
+    for t in range(n - 2, -1, -1):
+        c = pf[t] * a / pp[t + 1]
+        ms[t] = mf[t] + c * (ms[t + 1] - mp[t + 1])
+        ps[t] = pf[t] + c * c * (ps[t + 1] - pp[t + 1])
+    return ms, ps
+
+
 def test_prior_precision_hand_values():
     model = PhaseMarkovModel(a=0.8, sigma_theta_sq=1.0, sigma_1_sq=1.0)
     tri = prior_precision(model, 3)
@@ -145,6 +175,21 @@ class TestSmoother:
                                        atol=1e-8 * np.abs(means).max())
             np.testing.assert_allclose(post.marginal_variances, variances,
                                        rtol=1e-8)
+
+    @pytest.mark.parametrize("n", [2, 256])
+    def test_bitwise_equal_to_array_recursion(self, n):
+        rng = np.random.default_rng(n)
+        model = PhaseMarkovModel(a=0.8, sigma_theta_sq=0.3, sigma_1_sq=1e6)
+        for draw in range(20):
+            precisions = rng.exponential(4.0, n)
+            precisions[rng.random(n) < 0.2] = 0.0
+            precisions[draw % n] = 0.0  # every draw has a missing sensor
+            pseudo = PseudoObservations(values=rng.uniform(-np.pi, np.pi, n),
+                                        precisions=precisions)
+            post = smooth(pseudo, model)
+            means, variances = _array_smooth(pseudo, model)
+            assert np.array_equal(post.means, means)
+            assert np.array_equal(post.marginal_variances, variances)
 
     def test_single_node(self):
         model = PhaseMarkovModel(a=0.8, sigma_theta_sq=1.0, sigma_1_sq=4.0)

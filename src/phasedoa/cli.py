@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 runtime or I/O failure, 2 usage error.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -13,12 +14,9 @@ import numpy as np
 from . import config as cfg
 from . import io as pio
 from .config import ConfigError
-from .estimators import EstimatorConfig, extract_support, run_estimator
-from .harness import SweepConfig, run_sweep, trial_rng
-from .model import (BernoulliGaussianPrior, PhaseMarkovModel,
-                    build_dictionary, default_angle_grid,
-                    sample_ground_truth, sample_phase_trajectory,
-                    synthesize_observation)
+from .estimators import extract_support, run_estimator
+from .harness import (SweepConfig, draw_trial, make_problem, run_sweep,
+                      trial_rng)
 
 
 def _build_parser():
@@ -58,7 +56,8 @@ def _build_parser():
 
     swp = sub.add_parser("sweep", help="Monte Carlo noise sweep")
     common(swp)
-    swp.add_argument("--trials", type=int, help="trials per cell")
+    swp.add_argument("--trials", dest="n_trials", type=int,
+                     help="trials per cell")
     swp.add_argument("--workers", type=int, help="parallel trial workers")
     swp.add_argument("--k", type=int, help="sweep a single source count")
     swp.add_argument("--noise-var", type=float, help="sweep a single sigma^2")
@@ -74,60 +73,39 @@ def _load_values(args):
             raise ConfigError("--set expects KEY=VALUE, got %r" % assignment)
         key, text = assignment.split("=", 1)
         values[key.strip()] = cfg.coerce(key.strip(), text.strip())
-    overrides = {
-        "seed": args.seed,
-        "output_dir": args.output_dir,
-        "k": getattr(args, "k", None),
-        "noise_var": getattr(args, "noise_var", None),
-        "variant": getattr(args, "variant", None),
-        "n_trials": getattr(args, "trials", None),
-        "workers": getattr(args, "workers", None),
-        "order": getattr(args, "order", None),
-    }
-    return cfg.merge_overrides(values, overrides)
+    # every flag stores its value under the config key it overrides
+    return cfg.merge_overrides(
+        values, {key: getattr(args, key, None) for key in cfg.SCHEMA})
 
 
-_VARIANT_NAMES = ("pavbem", "pavbem_relaxed", "prvbem", "beamforming")
-
-
-def _model_pieces(values):
-    if values["k"] > values["grid_size"]:
-        raise ConfigError("k exceeds grid_size")
-    if values["variant"] not in _VARIANT_NAMES:
-        raise ConfigError("unknown variant: %s" % values["variant"])
-    for alg in values["algorithms"]:
-        if alg not in _VARIANT_NAMES:
-            raise ConfigError("unknown algorithm: %s" % alg)
-    dictionary = build_dictionary(values["n_sensors"],
-                                  values["spacing_ratio"],
-                                  default_angle_grid(values["grid_size"]))
-    model = PhaseMarkovModel(a=values["a"],
-                             sigma_theta_sq=values["sigma_theta_sq"],
-                             sigma_1_sq=values["sigma_1_sq"])
-    occupancy = np.full(values["grid_size"],
-                        values["k"] / values["grid_size"])
-    prior = BernoulliGaussianPrior(sigma_x_sq=values["sigma_x_sq"],
-                                   occupancy=occupancy)
-    return dictionary, model, prior
+def _sweep_config(values, **changes):
+    """The SweepConfig of every config key that names one of its fields;
+    changes win. A value the dataclass rejects is a usage error."""
+    fields = {f.name: values[f.name] for f in dataclasses.fields(SweepConfig)
+              if f.name in values}
+    fields.update(base_seed=values["seed"],
+                  noise_grid=cfg.resolve_noise_grid(values),
+                  workers=cfg.resolve_workers(values))
+    fields.update(changes)
+    try:
+        return SweepConfig(**fields)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _cmd_simulate(args):
     values = _load_values(args)
-    dictionary, model, prior = _model_pieces(values)
-    # same derivation as harness cell (0, 0, 0) so a sweep can be replayed
+    k = values["k"]
+    config = _sweep_config(values, k_values=(k,))
+    # the draw of harness cell (0, 0, 0), so a sweep can be replayed
     rng = trial_rng(values["seed"], 0, 0, 0)
-    truth = sample_ground_truth(prior, values["k"], rng)
-    if values["phase_noise"]:
-        truth.theta = sample_phase_trajectory(model, values["n_sensors"], rng)
-    else:
-        truth.theta = np.zeros(values["n_sensors"])
-    obs = synthesize_observation(dictionary, truth, values["noise_var"], rng)
+    _, _, _, truth, y = draw_trial(config, k, values["noise_var"], rng)
 
     out = values["output_dir"]
     os.makedirs(out, exist_ok=True)
     obs_path = os.path.join(out, "observation.txt")
     truth_path = os.path.join(out, "ground_truth.txt")
-    pio.save_observation(obs_path, obs.y, truth.theta)
+    pio.save_observation(obs_path, y, truth.theta)
     pio.save_ground_truth(truth_path, truth.z)
     print("child seed: SeedSequence(%d, spawn_key=(0, 0, 0))" % values["seed"])
     print("wrote %s (%d sensors)" % (obs_path, values["n_sensors"]))
@@ -154,38 +132,33 @@ def _cmd_estimate(args):
     except OSError as exc:
         print("cannot read %s: %s" % (args.observation, exc), file=sys.stderr)
         return 1
-    dictionary, model, prior = _model_pieces(values)
+    variant, k = values["variant"], values["k"]
+    config = _sweep_config(values, k_values=(k,), algorithms=(variant,))
+    dictionary, model, prior = make_problem(config, k)
     if y.shape[0] != values["n_sensors"]:
         print("dimension mismatch: file has %d sensors, config says %d"
               % (y.shape[0], values["n_sensors"]), file=sys.stderr)
         return 1
 
-    est_config = EstimatorConfig(
-        variant=values["variant"],
-        max_iterations=values["max_iterations"],
-        convergence_tol=values["convergence_tol"],
-        estimate_noise=values["estimate_noise"],
-        initial_noise_var=values["noise_var"] if args.noise_var is not None
-        else values["initial_noise_var"],
-        relax_iterations=values["relax_iterations"],
-        order=values["order"])
-
+    # --noise-var gives the starting sigma^2; set as a config key alone,
+    # noise_var describes the synthesis and is not used here
+    noise_var = (values["noise_var"] if args.noise_var is not None
+                 else values["initial_noise_var"])
     if args.diagnostics:
         with open(args.diagnostics, "a") as fh:
-            est = run_estimator(values["variant"], y, dictionary, model,
-                                prior, est_config,
-                                trace=_diagnostics_writer(fh))
+            est = run_estimator(variant, y, dictionary, model, prior, config,
+                                _diagnostics_writer(fh), noise_var)
     else:
-        est = run_estimator(values["variant"], y, dictionary, model, prior,
-                            est_config)
+        est = run_estimator(variant, y, dictionary, model, prior, config,
+                            noise_var=noise_var)
 
-    idx, angles = extract_support(est, values["k"], dictionary.angles)
-    print("variant: %s" % values["variant"])
+    idx, angles = extract_support(est, k, dictionary.angles)
+    print("variant: %s" % variant)
     print("iterations: %d (converged: %s)"
           % (est.iterations_used, est.converged))
     if np.isfinite(est.final_noise_var):
         print("final sigma^2: %.6g" % est.final_noise_var)
-    print("top-%d atoms (index, angle deg, |z_hat|):" % values["k"])
+    print("top-%d atoms (index, angle deg, |z_hat|):" % k)
     for i, ang in zip(idx, angles):
         print("  %3d  %+8.3f  %.5f"
               % (i, np.degrees(ang), np.abs(est.z_hat[i])))
@@ -195,36 +168,16 @@ def _cmd_estimate(args):
 
 def _cmd_sweep(args):
     values = _load_values(args)
-    noise_grid = cfg.resolve_noise_grid(values)
+    # a single-value flag replaces the list it belongs to
+    changes = {}
     if args.noise_var is not None:
-        noise_grid = (args.noise_var,)
-    k_values = values["k_values"]
+        changes["noise_grid"] = (args.noise_var,)
     if args.k is not None:
-        k_values = (args.k,)
-    algorithms = values["algorithms"]
+        changes["k_values"] = (args.k,)
     if args.variant is not None:
-        algorithms = (args.variant,)
-    for alg in algorithms:
-        if alg not in _VARIANT_NAMES:
-            raise ConfigError("unknown algorithm: %s" % alg)
-    if values["k"] > values["grid_size"] or any(
-            k > values["grid_size"] for k in k_values):
-        raise ConfigError("k exceeds grid_size")
-
-    os.makedirs(values["output_dir"], exist_ok=True)
-    sweep = SweepConfig(
-        n_sensors=values["n_sensors"], grid_size=values["grid_size"],
-        spacing_ratio=values["spacing_ratio"], a=values["a"],
-        sigma_theta_sq=values["sigma_theta_sq"],
-        sigma_1_sq=values["sigma_1_sq"], sigma_x_sq=values["sigma_x_sq"],
-        phase_noise=values["phase_noise"], k_values=tuple(k_values),
-        noise_grid=tuple(noise_grid), n_trials=values["n_trials"],
-        algorithms=tuple(algorithms), base_seed=values["seed"],
-        workers=cfg.resolve_workers(values), output_dir=values["output_dir"],
-        max_iterations=values["max_iterations"],
-        convergence_tol=values["convergence_tol"],
-        estimate_noise=values["estimate_noise"],
-        relax_iterations=values["relax_iterations"], order=values["order"])
+        changes["algorithms"] = (args.variant,)
+    sweep = _sweep_config(values, **changes)
+    os.makedirs(sweep.output_dir, exist_ok=True)
 
     def progress(k, noise_var, means, fails):
         cells = " ".join("%s=%.4f" % (a, v)

@@ -8,6 +8,8 @@ import os
 
 import numpy as np
 
+from .harness import SweepConfig
+
 
 class ConfigError(Exception):
     """Bad configuration key or value; the CLI maps this to exit code 2."""
@@ -40,50 +42,55 @@ def _parse_str_list(text):
     return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
-# key -> (default, parser, help)
+# key -> (parser, help)
 SCHEMA = {
-    "n_sensors": (256, int, "array size N"),
-    "grid_size": (50, int, "number of candidate angles M"),
-    "spacing_ratio": (4.0, float, "sensor spacing over wavelength"),
-    "a": (0.8, float, "AR coefficient of the phase chain"),
-    "sigma_theta_sq": (1.0, float, "phase innovation variance"),
-    "sigma_1_sq": (1e6, float, "initial phase variance"),
-    "sigma_x_sq": (1.0, float, "slab variance of source amplitudes"),
-    "k": (5, int, "number of planted sources"),
-    "noise_var": (0.01, float, "additive noise variance sigma^2"),
-    "seed": (1234, int, "base seed for all randomness"),
-    "phase_noise": (True, _parse_bool, "synthesize with phase noise"),
-    "variant": ("pavbem", str,
-                "estimator: pavbem, pavbem_relaxed, prvbem, beamforming"),
-    "max_iterations": (200, int, "outer iteration cap"),
-    "convergence_tol": (1e-6, float, "max-norm tolerance on <z> change"),
-    "estimate_noise": (True, _parse_bool, "re-estimate sigma^2 each iteration"),
-    "initial_noise_var": (None, _parse_optional_float,
+    "n_sensors": (int, "array size N"),
+    "grid_size": (int, "number of candidate angles M"),
+    "spacing_ratio": (float, "sensor spacing over wavelength"),
+    "a": (float, "AR coefficient of the phase chain"),
+    "sigma_theta_sq": (float, "phase innovation variance"),
+    "sigma_1_sq": (float, "initial phase variance"),
+    "sigma_x_sq": (float, "slab variance of source amplitudes"),
+    "k": (int, "number of planted sources"),
+    "noise_var": (float, "additive noise variance sigma^2"),
+    "seed": (int, "base seed for all randomness"),
+    "phase_noise": (_parse_bool, "synthesize with phase noise"),
+    "variant": (str, "estimator: pavbem, pavbem_relaxed, prvbem, beamforming"),
+    "max_iterations": (int, "outer iteration cap"),
+    "convergence_tol": (float, "max-norm tolerance on <z> change"),
+    "estimate_noise": (_parse_bool, "re-estimate sigma^2 each iteration"),
+    "initial_noise_var": (_parse_optional_float,
                           "starting sigma^2, 'auto' scales from the data"),
-    "relax_iterations": (25, int,
-                         "leading iterations with occupancy clamped to 1"),
-    "order": ("energy", str, "atom sweep order: energy or index"),
-    "k_values": ((2, 5), _parse_int_list, "source counts swept"),
-    "noise_grid": ((), _parse_float_list,
-                   "explicit sigma^2 grid, comma separated"),
-    "noise_grid_spec": ("log:1e-3:1:8", str,
+    "relax_iterations": (int, "leading iterations with occupancy clamped to 1"),
+    "order": (str, "atom sweep order: energy or index"),
+    "k_values": (_parse_int_list, "source counts swept"),
+    "noise_grid": (_parse_float_list, "explicit sigma^2 grid, comma separated"),
+    "noise_grid_spec": (str,
                         "log:start:stop:count, used when noise_grid is empty"),
-    "n_trials": (50, int, "Monte Carlo trials per cell"),
-    "algorithms": (("beamforming", "prvbem", "pavbem_relaxed", "pavbem"),
-                   _parse_str_list, "algorithms run by the sweep, in order"),
-    "workers": (0, int, "parallel trial workers; 0 reads PHASEDOA_WORKERS"),
-    "output_dir": (".", str, "directory for output files"),
+    "n_trials": (int, "Monte Carlo trials per cell"),
+    "algorithms": (_parse_str_list, "algorithms run by the sweep, in order"),
+    "workers": (int, "parallel trial workers; 0 reads PHASEDOA_WORKERS"),
+    "output_dir": (str, "directory for output files"),
 }
+
+# defaults of the keys that SweepConfig lacks or reads differently (an
+# empty noise_grid defers to the spec, workers 0 to PHASEDOA_WORKERS)
+_OWN_DEFAULTS = {"seed": SweepConfig.base_seed, "k": 5, "noise_var": 0.01,
+                 "variant": "pavbem", "initial_noise_var": None,
+                 "noise_grid": (), "noise_grid_spec": "log:1e-3:1:8",
+                 "workers": 0}
 
 
 def defaults():
-    return {key: spec[0] for key, spec in SCHEMA.items()}
+    sweep = SweepConfig()
+    return {key: _OWN_DEFAULTS[key] if key in _OWN_DEFAULTS
+            else getattr(sweep, key) for key in SCHEMA}
 
 
 def coerce(key, text):
     if key not in SCHEMA:
         raise ConfigError("unknown config key: %s" % key)
-    parser = SCHEMA[key][1]
+    parser = SCHEMA[key][0]
     try:
         return parser(text)
     except (ValueError, TypeError) as exc:
@@ -138,9 +145,7 @@ def resolve_noise_grid(values):
         if start <= 0 or stop <= 0 or count < 1:
             raise ConfigError("noise_grid_spec needs positive bounds and count")
         grid = tuple(np.logspace(np.log10(start), np.log10(stop), count))
-    if any(v <= 0 for v in grid):
-        raise ConfigError("noise_grid values must be positive")
-    return grid
+    return grid  # SweepConfig rejects a non-positive value
 
 
 def resolve_workers(values):
@@ -161,12 +166,12 @@ def resolve_workers(values):
 def help_lines():
     """One line per config key for the CLI --help epilog."""
     out = []
-    for key, (default, _, text) in SCHEMA.items():
+    for key, default in defaults().items():
         if isinstance(default, tuple):
             shown = ",".join(str(v) for v in default) if default else "(empty)"
         elif default is None:
             shown = "auto"
         else:
             shown = str(default)
-        out.append("  %-18s %s (default: %s)" % (key, text, shown))
+        out.append("  %-18s %s (default: %s)" % (key, SCHEMA[key][1], shown))
     return out

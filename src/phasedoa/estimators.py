@@ -16,23 +16,20 @@ from . import coefficients as coef
 from . import phase as ph
 from .model import BernoulliGaussianPrior
 
-_VARIANTS = ("pavbem", "pavbem_relaxed", "prvbem", "beamforming")
+# every estimator, in the column order of the sweep tables
+VARIANTS = ("beamforming", "prvbem", "pavbem_relaxed", "pavbem")
 
 
 @dataclass
 class EstimatorConfig:
-    variant: str = "pavbem"
     max_iterations: int = 200
     convergence_tol: float = 1e-6   # max-norm change of <z> per outer iteration
     estimate_noise: bool = True
-    initial_noise_var: float | None = None  # None: 0.01 * mean |y_n|^2
     relax_iterations: int = 25      # occupancy clamped to 1 for this many
                                     # leading iterations (homotopy warm start)
     order: str = "energy"           # atom sweep order, 'energy' or 'index'
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
-            raise ValueError("unknown variant %r" % (self.variant,))
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.convergence_tol <= 0:
@@ -53,47 +50,57 @@ class DoaEstimate:
     final_noise_var: float
 
 
-def pavbem(y, dictionary, phase_model, prior, config=None, trace=None):
+def pavbem(y, dictionary, phase_model, prior, config=None, trace=None,
+           noise_var=None):
     """Full phase-aware VBEM with the Bernoulli-Gaussian prior.
 
+    noise_var is the starting sigma^2; None starts from 0.01 * mean |y_n|^2.
     trace, if given, is called after every outer iteration as
     trace(iteration, info) with info holding noise_var, delta, spike_sum,
     phase_means and phase_variances.
     """
-    config = config or EstimatorConfig(variant="pavbem")
-    return _vbem(y, dictionary, phase_model, prior, config, trace)
+    return _vbem(y, dictionary, phase_model, prior, config, trace, noise_var)
 
 
 def pavbem_relaxed(y, dictionary, phase_model, sigma_x_sq, config=None,
-                   trace=None):
+                   trace=None, noise_var=None):
     """Same loop with every p_i fixed at 1: the sparsity prior degenerates
     to a plain Gaussian and z_hat_i = cond_mean_i. Passing phase_model=None
     drops the Markov prior (flat phase), which is exactly the prVBEM
     baseline."""
-    config = config or EstimatorConfig(variant="pavbem_relaxed")
     m = dictionary.columns.shape[1]
     prior = BernoulliGaussianPrior(sigma_x_sq=sigma_x_sq, occupancy=np.ones(m))
-    return _vbem(y, dictionary, phase_model, prior, config, trace)
+    return _vbem(y, dictionary, phase_model, prior, config, trace, noise_var)
 
 
-def prvbem_baseline(y, dictionary, sigma_x_sq, config=None, trace=None):
+def prvbem_baseline(y, dictionary, sigma_x_sq, config=None, trace=None,
+                    noise_var=None):
     """Non-informative-phase baseline: uniform phase prior (realized as a
     dropped chain prior, so q(theta_n) follows the pseudo-observations
     alone) and Gaussian amplitudes."""
-    config = config or EstimatorConfig(variant="prvbem")
-    return pavbem_relaxed(y, dictionary, None, sigma_x_sq, config, trace)
+    return pavbem_relaxed(y, dictionary, None, sigma_x_sq, config, trace,
+                          noise_var)
 
 
 def beamforming(y, dictionary):
     """Matched filter z_hat = (1/N) D^H y. No phase handling, no iterations."""
+    y = _observation(y, dictionary)
     n = dictionary.n_sensors
-    if y.shape[0] != n:
-        raise ValueError("observation length does not match sensor count")
     z_hat = (dictionary.columns.conj().T @ y) / n
     m = z_hat.shape[0]
     return DoaEstimate(z_hat=z_hat, spike_probs=np.ones(m),
                        phase_means=np.zeros(n), iterations_used=0,
                        converged=True, final_noise_var=float("nan"))
+
+
+def _observation(y, dictionary):
+    """y as a complex array; ValueError unless one finite sample per sensor."""
+    y = np.asarray(y, dtype=complex)
+    if y.shape[0] != dictionary.n_sensors:
+        raise ValueError("observation length does not match sensor count")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observation must be finite")
+    return y
 
 
 def extract_support(estimate, k, angles=None):
@@ -109,26 +116,21 @@ def extract_support(estimate, k, angles=None):
     return idx, np.asarray(angles)[idx]
 
 
-def _vbem(y, dictionary, phase_model, prior, config, trace=None):
-    y = np.asarray(y, dtype=complex)
+def _vbem(y, dictionary, phase_model, prior, config, trace, noise_var):
+    config = config or EstimatorConfig()
+    y = _observation(y, dictionary)
     n = dictionary.n_sensors
     m = dictionary.columns.shape[1]
-    if y.shape[0] != n:
-        raise ValueError("observation length does not match sensor count")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("observation must be finite")
     if prior.occupancy.shape[0] != m:
         raise ValueError("occupancy length does not match atom count")
 
     power = np.vdot(y, y).real / n
     floor = 1e-8 * power
     tiny = np.finfo(float).tiny
-    if config.initial_noise_var is not None:
-        if config.initial_noise_var <= 0:
-            raise ValueError("initial_noise_var must be positive")
-        noise_var = config.initial_noise_var
-    else:
+    if noise_var is None:
         noise_var = max(0.01 * power, tiny)
+    elif noise_var <= 0:
+        raise ValueError("noise_var must be positive")
 
     post = coef.initial_posterior(y, dictionary, prior)
     warm = config.relax_iterations > 0
@@ -184,18 +186,20 @@ def _vbem(y, dictionary, phase_model, prior, config, trace=None):
                        final_noise_var=noise_var)
 
 
-def run_estimator(variant, y, dictionary, phase_model, prior, config,
-                  trace=None):
-    """Dispatch helper used by the harness and the CLI. trace is the
-    per-iteration hook of pavbem; beamforming has no iterations and never
-    calls it."""
+def run_estimator(variant, y, dictionary, phase_model, prior, config=None,
+                  trace=None, noise_var=None):
+    """Dispatch helper used by the harness and the CLI. noise_var is the
+    starting sigma^2 and trace the per-iteration hook of pavbem; beamforming
+    has no iterations and uses neither."""
     if variant == "beamforming":
         return beamforming(y, dictionary)
     if variant == "pavbem":
-        return pavbem(y, dictionary, phase_model, prior, config, trace)
+        return pavbem(y, dictionary, phase_model, prior, config, trace,
+                      noise_var)
     if variant == "pavbem_relaxed":
         return pavbem_relaxed(y, dictionary, phase_model, prior.sigma_x_sq,
-                              config, trace)
+                              config, trace, noise_var)
     if variant == "prvbem":
-        return prvbem_baseline(y, dictionary, prior.sigma_x_sq, config, trace)
+        return prvbem_baseline(y, dictionary, prior.sigma_x_sq, config, trace,
+                               noise_var)
     raise ValueError("unknown variant %r" % (variant,))

@@ -14,15 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import EstimatorConfig, run_estimator
+from .estimators import VARIANTS, EstimatorConfig, run_estimator
 from .model import (BernoulliGaussianPrior, PhaseMarkovModel,
                     build_dictionary, default_angle_grid,
                     sample_ground_truth, sample_phase_trajectory,
                     synthesize_observation)
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_ALGORITHMS = ("beamforming", "prvbem", "pavbem_relaxed", "pavbem")
 
 
 def default_noise_grid():
@@ -31,7 +29,10 @@ def default_noise_grid():
 
 
 @dataclass
-class SweepConfig:
+class SweepConfig(EstimatorConfig):
+    """A sweep's problem, grid and execution settings, plus the estimator
+    settings it inherits from EstimatorConfig."""
+
     n_sensors: int = 256
     grid_size: int = 50
     spacing_ratio: float = 4.0
@@ -43,24 +44,22 @@ class SweepConfig:
     k_values: tuple = (2, 5)
     noise_grid: tuple = field(default_factory=default_noise_grid)
     n_trials: int = 50
-    algorithms: tuple = DEFAULT_ALGORITHMS
+    algorithms: tuple = VARIANTS
     base_seed: int = 1234
     workers: int = 1
     output_dir: str = "."
-    max_iterations: int = 200
-    convergence_tol: float = 1e-6
-    estimate_noise: bool = True
-    relax_iterations: int = 25
-    order: str = "energy"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
         grid = np.asarray(self.noise_grid, dtype=float)
         if grid.size == 0 or np.any(grid <= 0):
             raise ValueError("noise_grid must be nonempty and positive")
+        if any(k > self.grid_size for k in self.k_values):
+            raise ValueError("k exceeds grid_size")
         for alg in self.algorithms:
-            if alg not in DEFAULT_ALGORITHMS:
+            if alg not in VARIANTS:
                 raise ValueError("unknown algorithm %r" % (alg,))
 
 
@@ -101,6 +100,31 @@ def trial_rng(base_seed, k_index, noise_index, trial_index):
     return np.random.default_rng(seq)
 
 
+def make_problem(config, k):
+    """The dictionary, phase model and k-sparse prior of ``config``."""
+    dictionary = build_dictionary(config.n_sensors, config.spacing_ratio,
+                                  default_angle_grid(config.grid_size))
+    model = PhaseMarkovModel(a=config.a, sigma_theta_sq=config.sigma_theta_sq,
+                             sigma_1_sq=config.sigma_1_sq)
+    occupancy = np.full(config.grid_size, k / config.grid_size)
+    prior = BernoulliGaussianPrior(sigma_x_sq=config.sigma_x_sq,
+                                   occupancy=occupancy)
+    return dictionary, model, prior
+
+
+def draw_trial(config, k, noise_var, rng):
+    """make_problem plus one draw from it: (dictionary, model, prior,
+    truth, y)."""
+    dictionary, model, prior = make_problem(config, k)
+    truth = sample_ground_truth(prior, k, rng)
+    if config.phase_noise:
+        truth.theta = sample_phase_trajectory(model, config.n_sensors, rng)
+    else:
+        truth.theta = np.zeros(config.n_sensors)
+    y = synthesize_observation(dictionary, truth, noise_var, rng).y
+    return dictionary, model, prior, truth, y
+
+
 def run_trial(config, k_index, noise_index, trial_index):
     """Synthesize one draw and score every selected algorithm on it.
 
@@ -110,33 +134,14 @@ def run_trial(config, k_index, noise_index, trial_index):
     k = config.k_values[k_index]
     noise_var = float(np.asarray(config.noise_grid, dtype=float)[noise_index])
     rng = trial_rng(config.base_seed, k_index, noise_index, trial_index)
-
-    dictionary = build_dictionary(config.n_sensors, config.spacing_ratio,
-                                  default_angle_grid(config.grid_size))
-    model = PhaseMarkovModel(a=config.a, sigma_theta_sq=config.sigma_theta_sq,
-                             sigma_1_sq=config.sigma_1_sq)
-    occupancy = np.full(config.grid_size, k / config.grid_size)
-    prior = BernoulliGaussianPrior(sigma_x_sq=config.sigma_x_sq,
-                                   occupancy=occupancy)
-
-    truth = sample_ground_truth(prior, k, rng)
-    if config.phase_noise:
-        truth.theta = sample_phase_trajectory(model, config.n_sensors, rng)
-    else:
-        truth.theta = np.zeros(config.n_sensors)
-    y = synthesize_observation(dictionary, truth, noise_var, rng).y
+    dictionary, model, prior, truth, y = draw_trial(config, k, noise_var, rng)
 
     correlations, iterations, runtimes, failed = {}, {}, {}, {}
     for alg in config.algorithms:
-        est_config = EstimatorConfig(
-            variant=alg, max_iterations=config.max_iterations,
-            convergence_tol=config.convergence_tol,
-            estimate_noise=config.estimate_noise,
-            initial_noise_var=noise_var,
-            relax_iterations=config.relax_iterations, order=config.order)
         start = time.perf_counter()
         try:
-            est = run_estimator(alg, y, dictionary, model, prior, est_config)
+            est = run_estimator(alg, y, dictionary, model, prior, config,
+                                noise_var=noise_var)
             if not np.all(np.isfinite(est.z_hat)):
                 raise FloatingPointError("non-finite estimate")
             correlations[alg] = normalized_correlation(truth.z, est.z_hat)

@@ -131,6 +131,8 @@ def noninformative_posterior(pseudo):
     lam = np.asarray(pseudo.precisions, dtype=float)
     with np.errstate(divide="ignore"):
         variances = 1.0 / lam  # inf where the pseudo-precision vanishes
+    # kept in precision form: circular_moment(values, variances) would take
+    # 1/(1/lam), which differs from lam in the last bit for over 10% of doubles
     moments = bessel_ratio(lam) * np.exp(1j * pseudo.values)
     return PhasePosterior(means=np.asarray(pseudo.values, dtype=float),
                           marginal_variances=variances,
@@ -138,9 +140,8 @@ def noninformative_posterior(pseudo):
 
 
 def _with_moments(means, variances):
-    moments = bessel_ratio(1.0 / variances) * np.exp(1j * means)
     return PhasePosterior(means=means, marginal_variances=variances,
-                          circular_moments=moments)
+                          circular_moments=circular_moment(means, variances))
 
 
 def bessel_ratio(x):
@@ -160,7 +161,7 @@ def circular_moment(mean, variance):
     """<exp(j*theta)> under the Von Mises matched to N(mean, variance):
     (I_1/I_0)(1/variance) * exp(j*mean)."""
     variance = np.asarray(variance, dtype=float)
-    if np.any(variance <= 0) or np.any(np.isnan(variance)):
+    if not np.all(variance > 0):  # also rejects NaN
         raise ValueError("variance must be positive")
     out = bessel_ratio(1.0 / variance) * np.exp(1j * np.asarray(mean, dtype=float))
     return out if out.ndim else complex(out)

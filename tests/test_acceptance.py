@@ -253,7 +253,6 @@ def test_criterion_09_exact_recovery_sanity():
     d = build_dictionary(256, SANITY_SPACING, default_angle_grid(50))
     prior = BernoulliGaussianPrior(sigma_x_sq=1.0,
                                    occupancy=np.full(50, 1 / 50))
-    config = EstimatorConfig(initial_noise_var=1e-4)
     hits = 0
     corrs = []
     for t in range(50):
@@ -264,7 +263,7 @@ def test_criterion_09_exact_recovery_sanity():
         truth = GroundTruth(z=z, support=np.array([atom]),
                             theta=np.zeros(256))
         y = synthesize_observation(d, truth, 1e-4, rng).y
-        est = pavbem(y, d, PROTOCOL_MODEL, prior, config)
+        est = pavbem(y, d, PROTOCOL_MODEL, prior, noise_var=1e-4)
         corrs.append(normalized_correlation(z, est.z_hat))
         hits += int(extract_support(est, 1)[0][0] == atom)
     corrs = np.array(corrs)

@@ -7,6 +7,7 @@ import pytest
 
 from phasedoa.cli import main
 from phasedoa.config import SCHEMA
+from phasedoa.harness import SweepConfig, draw_trial, trial_rng
 from phasedoa.io import (load_ground_truth, load_observation,
                          save_observation)
 
@@ -49,6 +50,18 @@ def test_simulate_writes_both_files(tmp_path):
     assert theta.shape == (32,)
     assert z.shape == (8,)
     assert np.sum(z != 0) == 3
+
+
+def test_simulate_replays_harness_cell(tmp_path):
+    obs, truth = _simulate(tmp_path, "--seed", "5", "--k", "3",
+                           "--noise-var", "0.05")
+    config = SweepConfig(n_sensors=32, grid_size=8, k_values=(3,),
+                         noise_grid=(0.05,), base_seed=5)
+    _, _, _, expected, y = draw_trial(config, 3, 0.05, trial_rng(5, 0, 0, 0))
+    loaded, theta = load_observation(obs)
+    np.testing.assert_array_equal(loaded, y)
+    np.testing.assert_array_equal(theta, expected.theta)
+    np.testing.assert_array_equal(load_ground_truth(truth), expected.z)
 
 
 def test_simulate_k_too_large_is_usage_error(tmp_path, capsys):
@@ -121,7 +134,7 @@ def test_estimate_nonfinite_observation(tmp_path, capsys):
     y, theta = load_observation(obs)
     y[5] = complex(np.nan, 0.0)
     save_observation(obs, y, theta)
-    for variant in ("pavbem", "prvbem"):
+    for variant in ("pavbem", "prvbem", "pavbem_relaxed", "beamforming"):
         assert main(["estimate", obs, "--variant", variant] + SMALL) == 1
         assert ("error: observation must be finite"
                 in capsys.readouterr().err)
@@ -156,6 +169,22 @@ def test_sweep_emits_one_file_per_k(tmp_path):
     assert main(args) == 0
     assert (tmp_path / "corr_vs_noise_k1.dat").exists()
     assert (tmp_path / "corr_vs_noise_k2.dat").exists()
+
+
+@pytest.mark.parametrize("command, setting, reason", [
+    ("sweep", "max_iterations=0", "max_iterations must be >= 1"),
+    ("sweep", "n_trials=0", "n_trials must be >= 1"),
+    ("estimate", "max_iterations=0", "max_iterations must be >= 1"),
+])
+def test_invalid_setting_is_usage_error(tmp_path, capsys, command, setting,
+                                        reason):
+    if command == "estimate":
+        obs, _ = _simulate(tmp_path)
+        args = ["estimate", obs]
+    else:
+        args = ["sweep", "--output-dir", str(tmp_path)]
+    assert main(args + SMALL + ["--set", setting]) == 2
+    assert "config error: " + reason in capsys.readouterr().err
 
 
 def test_sweep_unknown_algorithm(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Tests for config parsing, override merging and columnar file I/O."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from phasedoa.config import (SCHEMA, ConfigError, coerce, defaults,
                              help_lines, merge_overrides, parse_config,
                              resolve_noise_grid, resolve_workers)
+from phasedoa.harness import SweepConfig
 from phasedoa.io import (load_ground_truth, load_observation,
                          save_ground_truth, save_observation)
 
@@ -18,6 +21,21 @@ def test_defaults_cover_schema():
     assert values["spacing_ratio"] == 4.0
     assert values["a"] == 0.8
     assert values["seed"] == 1234
+
+
+def test_defaults_match_sweep_config():
+    values = defaults()
+    sweep = SweepConfig()
+    for f in dataclasses.fields(SweepConfig):
+        if f.name == "base_seed":  # the seed key
+            continue
+        assert f.name in SCHEMA
+        # workers 0 means "read PHASEDOA_WORKERS"; an empty noise_grid
+        # defers to noise_grid_spec
+        if f.name not in ("workers", "noise_grid"):
+            assert values[f.name] == getattr(sweep, f.name), f.name
+    assert values["seed"] == sweep.base_seed
+    assert resolve_noise_grid(values) == sweep.noise_grid
 
 
 def test_parse_config_file(tmp_path):

@@ -42,8 +42,7 @@ def test_noiseless_single_source_recovery():
     z[7] = 1.0 - 0.5j
     truth = GroundTruth(z=z, support=np.array([7]), theta=np.zeros(64))
     y = synthesize_observation(d, truth, 0.0, np.random.default_rng(0)).y
-    est = pavbem(y, d, MODEL, prior,
-                 EstimatorConfig(initial_noise_var=1e-6))
+    est = pavbem(y, d, MODEL, prior, noise_var=1e-6)
     idx, _ = extract_support(est, 1)
     assert idx[0] == 7
     corr = np.abs(np.vdot(z, est.z_hat)) / (np.linalg.norm(z)
@@ -89,8 +88,8 @@ def test_variant_collapse_flat_phase():
 def test_fixed_noise_variance_is_kept():
     rng = np.random.default_rng(11)
     d, prior, _, y = _instance(rng)
-    config = EstimatorConfig(estimate_noise=False, initial_noise_var=0.123)
-    est = pavbem(y, d, MODEL, prior, config)
+    config = EstimatorConfig(estimate_noise=False)
+    est = pavbem(y, d, MODEL, prior, config, noise_var=0.123)
     assert est.final_noise_var == 0.123
 
 
@@ -169,8 +168,6 @@ class TestExtractSupport:
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        EstimatorConfig(variant="music")
-    with pytest.raises(ValueError):
         EstimatorConfig(max_iterations=0)
     with pytest.raises(ValueError):
         EstimatorConfig(convergence_tol=0.0)
@@ -184,8 +181,7 @@ def test_initial_noise_var_validation():
     d = build_dictionary(16, 4.0, default_angle_grid(4))
     prior = BernoulliGaussianPrior(1.0, np.full(4, 0.5))
     with pytest.raises(ValueError):
-        pavbem(np.ones(16, dtype=complex), d, MODEL, prior,
-               EstimatorConfig(initial_noise_var=-1.0))
+        pavbem(np.ones(16, dtype=complex), d, MODEL, prior, noise_var=-1.0)
 
 
 def test_observation_length_checked():
@@ -195,7 +191,8 @@ def test_observation_length_checked():
         pavbem(np.ones(15, dtype=complex), d, MODEL, prior)
 
 
-@pytest.mark.parametrize("variant", ["pavbem", "prvbem"])
+@pytest.mark.parametrize("variant", ["pavbem", "prvbem", "pavbem_relaxed",
+                                     "beamforming"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_nonfinite_observation_rejected(variant, bad):
     rng = np.random.default_rng(15)

@@ -150,6 +150,10 @@ def test_sweep_config_validation():
         SweepConfig(noise_grid=())
     with pytest.raises(ValueError):
         SweepConfig(algorithms=("beamforming", "music"))
+    with pytest.raises(ValueError, match="k exceeds grid_size"):
+        SweepConfig(k_values=(2, 51))
+    with pytest.raises(ValueError, match="max_iterations"):
+        SweepConfig(max_iterations=0)  # inherited from EstimatorConfig
 
 
 class TestDatFiles:

@@ -213,7 +213,7 @@ class TestSmoother:
                                     precisions=rng.uniform(0, 5, 10))
         post = smooth(pseudo, model)
         expected = circular_moment(post.means, post.marginal_variances)
-        np.testing.assert_allclose(post.circular_moments, expected, rtol=1e-14)
+        np.testing.assert_array_equal(post.circular_moments, expected)
 
 
 def test_noninformative_posterior_sensorwise():
@@ -289,3 +289,5 @@ class TestCircularMoment:
             circular_moment(0.0, 0.0)
         with pytest.raises(ValueError):
             circular_moment(0.0, -1.0)
+        with pytest.raises(ValueError):
+            circular_moment(0.0, np.array([0.5, np.nan]))

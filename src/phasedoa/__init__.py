@@ -6,8 +6,7 @@ from .coefficients import (CoefficientPosterior, estimate_noise_variance,
                            phase_corrected_observation, sweep_atoms,
                            sweep_order, update_atom)
 from .estimators import (DoaEstimate, EstimatorConfig, beamforming,
-                         extract_support, pavbem, pavbem_relaxed,
-                         prvbem_baseline, run_estimator)
+                         extract_support, run_estimator)
 from .harness import (SweepConfig, SweepResult, TrialRecord,
                       normalized_correlation, read_dat, run_sweep, run_trial,
                       trial_rng,
@@ -31,8 +30,7 @@ __all__ = [
     "beamforming", "bessel_ratio", "build_dictionary", "circular_moment",
     "compute_eta", "default_angle_grid", "estimate_noise_variance",
     "extract_support", "noninformative_posterior", "normalized_correlation",
-    "pavbem", "pavbem_relaxed", "phase_corrected_observation",
-    "prior_marginals", "prior_precision", "prvbem_baseline",
+    "phase_corrected_observation", "prior_marginals", "prior_precision",
     "pseudo_observations", "read_dat", "run_estimator", "run_sweep",
     "run_trial", "sample_ground_truth", "sample_phase_trajectory", "trial_rng",
     "smooth", "sweep_atoms", "sweep_order", "synthesize_observation",

@@ -29,40 +29,47 @@ def _build_parser():
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def option(p, flag, key, help=None, **kwargs):
+        """A flag that sets the config key ``key``, parsed as that key is."""
+        p.add_argument(flag, dest=key, type=cfg.SCHEMA[key][0], help=help,
+                       **kwargs)
+
     def common(p):
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--set", dest="assignments", action="append",
                        default=[], metavar="KEY=VALUE",
                        help="override any config key (repeatable)")
-        p.add_argument("--seed", type=int, help="base seed")
-        p.add_argument("--output-dir", help="directory for output files")
+        option(p, "--seed", "seed", "base seed")
+        option(p, "--output-dir", "output_dir", "directory for output files")
 
+    orders = ("energy", "index")
     sim = sub.add_parser("simulate", help="synthesize one observation")
     common(sim)
-    sim.add_argument("--k", type=int, help="number of planted sources")
-    sim.add_argument("--noise-var", type=float, help="additive noise variance")
+    option(sim, "--k", "k", "number of planted sources")
+    option(sim, "--noise-var", "noise_var", "additive noise variance")
 
     est = sub.add_parser("estimate", help="run one estimator on a file")
     common(est)
     est.add_argument("observation", help="columnar observation file")
-    est.add_argument("--variant", help="pavbem, pavbem_relaxed, prvbem "
-                                       "or beamforming")
-    est.add_argument("--k", type=int, help="support size to report")
-    est.add_argument("--noise-var", type=float, help="initial sigma^2")
-    est.add_argument("--order", choices=("energy", "index"),
-                     help="atom sweep order")
+    option(est, "--variant", "variant",
+           "pavbem, pavbem_relaxed, prvbem or beamforming")
+    option(est, "--k", "k", "support size to report")
+    option(est, "--noise-var", "initial_noise_var", "initial sigma^2",
+           metavar="NOISE_VAR")
+    option(est, "--order", "order", "atom sweep order", choices=orders)
     est.add_argument("--diagnostics", metavar="PATH",
                      help="append per-iteration diagnostics to PATH")
 
     swp = sub.add_parser("sweep", help="Monte Carlo noise sweep")
     common(swp)
-    swp.add_argument("--trials", dest="n_trials", type=int,
-                     help="trials per cell")
-    swp.add_argument("--workers", type=int, help="parallel trial workers")
-    swp.add_argument("--k", type=int, help="sweep a single source count")
-    swp.add_argument("--noise-var", type=float, help="sweep a single sigma^2")
-    swp.add_argument("--variant", help="run a single algorithm")
-    swp.add_argument("--order", choices=("energy", "index"))
+    option(swp, "--trials", "n_trials", "trials per cell")
+    option(swp, "--workers", "workers", "parallel trial workers")
+    option(swp, "--k", "k_values", "sweep a single source count", metavar="K")
+    option(swp, "--noise-var", "noise_grid", "sweep a single sigma^2",
+           metavar="NOISE_VAR")
+    option(swp, "--variant", "algorithms", "run a single algorithm",
+           metavar="VARIANT")
+    option(swp, "--order", "order", choices=orders)
     return parser
 
 
@@ -73,9 +80,10 @@ def _load_values(args):
             raise ConfigError("--set expects KEY=VALUE, got %r" % assignment)
         key, text = assignment.split("=", 1)
         values[key.strip()] = cfg.coerce(key.strip(), text.strip())
-    # every flag stores its value under the config key it overrides
-    return cfg.merge_overrides(
-        values, {key: getattr(args, key, None) for key in cfg.SCHEMA})
+    # every flag stores its value under the config key it sets; flags win
+    values.update((key, value) for key, value in vars(args).items()
+                  if key in cfg.SCHEMA and value is not None)
+    return values
 
 
 def _sweep_config(values, **changes):
@@ -84,7 +92,6 @@ def _sweep_config(values, **changes):
     fields = {f.name: values[f.name] for f in dataclasses.fields(SweepConfig)
               if f.name in values}
     fields.update(base_seed=values["seed"],
-                  noise_grid=cfg.resolve_noise_grid(values),
                   workers=cfg.resolve_workers(values))
     fields.update(changes)
     try:
@@ -114,14 +121,16 @@ def _cmd_simulate(args):
     return 0
 
 
-def _diagnostics_writer(fh):
+def _diagnostics_writer(path):
+    # opened per iteration, so an input the estimator rejects leaves no file
     def trace(iteration, info):
-        fh.write("iter %d sigma_sq %.17g spike_sum %.17g delta %.17g\n"
-                 % (iteration, info["noise_var"], info["spike_sum"],
-                    info["delta"]))
-        fh.write("# m_theta Sigma_theta\n")
-        for m, v in zip(info["phase_means"], info["phase_variances"]):
-            fh.write("%.17g %.17g\n" % (m, v))
+        with open(path, "a") as fh:
+            fh.write("iter %d sigma_sq %.17g spike_sum %.17g delta %.17g\n"
+                     % (iteration, info["noise_var"], info["spike_sum"],
+                        info["delta"]))
+            fh.write("# m_theta Sigma_theta\n")
+            for m, v in zip(info["phase_means"], info["phase_variances"]):
+                fh.write("%.17g %.17g\n" % (m, v))
     return trace
 
 
@@ -135,22 +144,9 @@ def _cmd_estimate(args):
     variant, k = values["variant"], values["k"]
     config = _sweep_config(values, k_values=(k,), algorithms=(variant,))
     dictionary, model, prior = make_problem(config, k)
-    if y.shape[0] != values["n_sensors"]:
-        print("dimension mismatch: file has %d sensors, config says %d"
-              % (y.shape[0], values["n_sensors"]), file=sys.stderr)
-        return 1
-
-    # --noise-var gives the starting sigma^2; set as a config key alone,
-    # noise_var describes the synthesis and is not used here
-    noise_var = (values["noise_var"] if args.noise_var is not None
-                 else values["initial_noise_var"])
-    if args.diagnostics:
-        with open(args.diagnostics, "a") as fh:
-            est = run_estimator(variant, y, dictionary, model, prior, config,
-                                _diagnostics_writer(fh), noise_var)
-    else:
-        est = run_estimator(variant, y, dictionary, model, prior, config,
-                            noise_var=noise_var)
+    trace = _diagnostics_writer(args.diagnostics) if args.diagnostics else None
+    est = run_estimator(variant, y, dictionary, model, prior, config, trace,
+                        values["initial_noise_var"])
 
     idx, angles = extract_support(est, k, dictionary.angles)
     print("variant: %s" % variant)
@@ -167,16 +163,7 @@ def _cmd_estimate(args):
 
 
 def _cmd_sweep(args):
-    values = _load_values(args)
-    # a single-value flag replaces the list it belongs to
-    changes = {}
-    if args.noise_var is not None:
-        changes["noise_grid"] = (args.noise_var,)
-    if args.k is not None:
-        changes["k_values"] = (args.k,)
-    if args.variant is not None:
-        changes["algorithms"] = (args.variant,)
-    sweep = _sweep_config(values, **changes)
+    sweep = _sweep_config(_load_values(args))
     os.makedirs(sweep.output_dir, exist_ok=True)
 
     def progress(k, noise_var, means, fails):

@@ -1,12 +1,10 @@
-"""Flat key=value configuration files plus override merging.
+"""Config keys and flat key=value configuration files.
 
 One registry drives parsing, defaults, type coercion and the CLI help
 listing. Unknown keys are rejected by name.
 """
 
 import os
-
-import numpy as np
 
 from .harness import SweepConfig
 
@@ -64,21 +62,17 @@ SCHEMA = {
     "relax_iterations": (int, "leading iterations with occupancy clamped to 1"),
     "order": (str, "atom sweep order: energy or index"),
     "k_values": (_parse_int_list, "source counts swept"),
-    "noise_grid": (_parse_float_list, "explicit sigma^2 grid, comma separated"),
-    "noise_grid_spec": (str,
-                        "log:start:stop:count, used when noise_grid is empty"),
+    "noise_grid": (_parse_float_list, "sigma^2 grid, comma separated"),
     "n_trials": (int, "Monte Carlo trials per cell"),
     "algorithms": (_parse_str_list, "algorithms run by the sweep, in order"),
     "workers": (int, "parallel trial workers; 0 reads PHASEDOA_WORKERS"),
     "output_dir": (str, "directory for output files"),
 }
 
-# defaults of the keys that SweepConfig lacks or reads differently (an
-# empty noise_grid defers to the spec, workers 0 to PHASEDOA_WORKERS)
+# defaults of the keys that SweepConfig lacks or reads differently
+# (workers 0 defers to PHASEDOA_WORKERS)
 _OWN_DEFAULTS = {"seed": SweepConfig.base_seed, "k": 5, "noise_var": 0.01,
-                 "variant": "pavbem", "initial_noise_var": None,
-                 "noise_grid": (), "noise_grid_spec": "log:1e-3:1:8",
-                 "workers": 0}
+                 "variant": "pavbem", "initial_noise_var": None, "workers": 0}
 
 
 def defaults():
@@ -115,37 +109,6 @@ def parse_config(path):
         key, text = (part.strip() for part in line.split("=", 1))
         values[key] = coerce(key, text)
     return values
-
-
-def merge_overrides(values, overrides):
-    """Apply CLI overrides (already typed, None meaning not given)."""
-    merged = dict(values)
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in SCHEMA:
-            raise ConfigError("unknown config key: %s" % key)
-        merged[key] = value
-    return merged
-
-
-def resolve_noise_grid(values):
-    if values["noise_grid"]:
-        grid = tuple(float(v) for v in values["noise_grid"])
-    else:
-        spec = values["noise_grid_spec"]
-        parts = spec.split(":")
-        if len(parts) != 4 or parts[0] != "log":
-            raise ConfigError(
-                "bad noise_grid_spec %r, expected log:start:stop:count" % spec)
-        try:
-            start, stop, count = float(parts[1]), float(parts[2]), int(parts[3])
-        except ValueError as exc:
-            raise ConfigError("bad noise_grid_spec %r: %s" % (spec, exc)) from exc
-        if start <= 0 or stop <= 0 or count < 1:
-            raise ConfigError("noise_grid_spec needs positive bounds and count")
-        grid = tuple(np.logspace(np.log10(start), np.log10(stop), count))
-    return grid  # SweepConfig rejects a non-positive value
 
 
 def resolve_workers(values):

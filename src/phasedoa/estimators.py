@@ -4,8 +4,9 @@ baseline with a flat phase prior, and conventional beamforming.
 All three VBEM variants share one loop. Per outer iteration: (a) update
 q(theta) from the current <z> (compute_eta, smooth), (b) form the
 phase-corrected ybar and sweep every atom, (c) optionally re-estimate the
-noise variance. The relaxed variant clamps every occupancy to 1; the
-prVBEM baseline additionally drops the Markov phase prior.
+noise variance. The variants differ in two switches (_VBEM): the relaxed
+variant clamps every occupancy to 1; the prVBEM baseline additionally drops
+the Markov phase prior.
 """
 
 from dataclasses import dataclass
@@ -18,6 +19,9 @@ from .model import BernoulliGaussianPrior
 
 # every estimator, in the column order of the sweep tables
 VARIANTS = ("beamforming", "prvbem", "pavbem_relaxed", "pavbem")
+# VBEM variant -> (Markov phase prior kept, Bernoulli-Gaussian occupancy used)
+_VBEM = {"prvbem": (False, False), "pavbem_relaxed": (True, False),
+         "pavbem": (True, True)}
 
 
 @dataclass
@@ -50,38 +54,6 @@ class DoaEstimate:
     final_noise_var: float
 
 
-def pavbem(y, dictionary, phase_model, prior, config=None, trace=None,
-           noise_var=None):
-    """Full phase-aware VBEM with the Bernoulli-Gaussian prior.
-
-    noise_var is the starting sigma^2; None starts from 0.01 * mean |y_n|^2.
-    trace, if given, is called after every outer iteration as
-    trace(iteration, info) with info holding noise_var, delta, spike_sum,
-    phase_means and phase_variances.
-    """
-    return _vbem(y, dictionary, phase_model, prior, config, trace, noise_var)
-
-
-def pavbem_relaxed(y, dictionary, phase_model, sigma_x_sq, config=None,
-                   trace=None, noise_var=None):
-    """Same loop with every p_i fixed at 1: the sparsity prior degenerates
-    to a plain Gaussian and z_hat_i = cond_mean_i. Passing phase_model=None
-    drops the Markov prior (flat phase), which is exactly the prVBEM
-    baseline."""
-    m = dictionary.columns.shape[1]
-    prior = BernoulliGaussianPrior(sigma_x_sq=sigma_x_sq, occupancy=np.ones(m))
-    return _vbem(y, dictionary, phase_model, prior, config, trace, noise_var)
-
-
-def prvbem_baseline(y, dictionary, sigma_x_sq, config=None, trace=None,
-                    noise_var=None):
-    """Non-informative-phase baseline: uniform phase prior (realized as a
-    dropped chain prior, so q(theta_n) follows the pseudo-observations
-    alone) and Gaussian amplitudes."""
-    return pavbem_relaxed(y, dictionary, None, sigma_x_sq, config, trace,
-                          noise_var)
-
-
 def beamforming(y, dictionary):
     """Matched filter z_hat = (1/N) D^H y. No phase handling, no iterations."""
     y = _observation(y, dictionary)
@@ -97,7 +69,9 @@ def _observation(y, dictionary):
     """y as a complex array; ValueError unless one finite sample per sensor."""
     y = np.asarray(y, dtype=complex)
     if y.shape[0] != dictionary.n_sensors:
-        raise ValueError("observation length does not match sensor count")
+        raise ValueError("dimension mismatch: observation has %d samples, "
+                         "the array %d sensors"
+                         % (y.shape[0], dictionary.n_sensors))
     if not np.all(np.isfinite(y)):
         raise ValueError("observation must be finite")
     return y
@@ -116,8 +90,7 @@ def extract_support(estimate, k, angles=None):
     return idx, np.asarray(angles)[idx]
 
 
-def _vbem(y, dictionary, phase_model, prior, config, trace, noise_var):
-    config = config or EstimatorConfig()
+def _vbem(y, dictionary, phase_model, prior, sparse, config, trace, noise_var):
     y = _observation(y, dictionary)
     n = dictionary.n_sensors
     m = dictionary.columns.shape[1]
@@ -133,14 +106,14 @@ def _vbem(y, dictionary, phase_model, prior, config, trace, noise_var):
         raise ValueError("noise_var must be positive")
 
     post = coef.initial_posterior(y, dictionary, prior)
+    # every occupancy clamped to 1: the whole run of a variant without the
+    # occupancy, else the warm-up, so that the first phase update sees the
+    # full beamforming energy rather than the p-scaled one
+    clamped = BernoulliGaussianPrior(sigma_x_sq=prior.sigma_x_sq,
+                                     occupancy=np.ones(m))
     warm = config.relax_iterations > 0
-    if warm:
-        # the warm phase runs with occupancy 1, so the first phase update
-        # sees the full beamforming energy rather than the p-scaled one
+    if warm or not sparse:
         post.spike_prob[:] = 1.0
-    # the relaxed warm-up runs with every occupancy clamped to 1
-    warm_prior = BernoulliGaussianPrior(sigma_x_sq=prior.sigma_x_sq,
-                                        occupancy=np.ones(m))
     w = post.z_mean()
 
     phase_post = None
@@ -158,8 +131,8 @@ def _vbem(y, dictionary, phase_model, prior, config, trace, noise_var):
 
         order = coef.sweep_order(w, config.order)
         post = coef.sweep_atoms(y_bar, post, dictionary,
-                                warm_prior if warm else prior, noise_var,
-                                order)
+                                clamped if warm or not sparse else prior,
+                                noise_var, order)
         w_new = post.z_mean()
 
         if config.estimate_noise:
@@ -188,18 +161,26 @@ def _vbem(y, dictionary, phase_model, prior, config, trace, noise_var):
 
 def run_estimator(variant, y, dictionary, phase_model, prior, config=None,
                   trace=None, noise_var=None):
-    """Dispatch helper used by the harness and the CLI. noise_var is the
-    starting sigma^2 and trace the per-iteration hook of pavbem; beamforming
-    has no iterations and uses neither."""
+    """Run the estimator ``variant`` (one of VARIANTS) on the observation y.
+
+    - pavbem: the full phase-aware VBEM with the Bernoulli-Gaussian prior.
+    - pavbem_relaxed: the same loop with every occupancy clamped to 1, so
+      the prior is a plain Gaussian and z_hat_i = cond_mean_i.
+    - prvbem: the relaxed loop with a flat phase prior (the Markov prior is
+      dropped, so q(theta_n) follows the pseudo-observations alone);
+      phase_model is not used. phase_model=None drops the Markov prior of
+      the other variants too.
+    - beamforming: the matched filter; y and dictionary alone are used.
+
+    noise_var is the starting sigma^2; None starts from 0.01 * mean |y_n|^2.
+    trace, if given, is called after every outer iteration as
+    trace(iteration, info) with info holding noise_var, delta, spike_sum,
+    phase_means and phase_variances.
+    """
     if variant == "beamforming":
         return beamforming(y, dictionary)
-    if variant == "pavbem":
-        return pavbem(y, dictionary, phase_model, prior, config, trace,
-                      noise_var)
-    if variant == "pavbem_relaxed":
-        return pavbem_relaxed(y, dictionary, phase_model, prior.sigma_x_sq,
-                              config, trace, noise_var)
-    if variant == "prvbem":
-        return prvbem_baseline(y, dictionary, prior.sigma_x_sq, config, trace,
-                               noise_var)
-    raise ValueError("unknown variant %r" % (variant,))
+    if variant not in _VBEM:
+        raise ValueError("unknown variant %r" % (variant,))
+    chain, sparse = _VBEM[variant]
+    return _vbem(y, dictionary, phase_model if chain else None, prior, sparse,
+                 config or EstimatorConfig(), trace, noise_var)

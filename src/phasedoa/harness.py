@@ -56,6 +56,8 @@ class SweepConfig(EstimatorConfig):
         grid = np.asarray(self.noise_grid, dtype=float)
         if grid.size == 0 or np.any(grid <= 0):
             raise ValueError("noise_grid must be nonempty and positive")
+        if not self.k_values or min(self.k_values) < 0:
+            raise ValueError("k_values must be nonempty and nonnegative")
         if any(k > self.grid_size for k in self.k_values):
             raise ValueError("k exceeds grid_size")
         for alg in self.algorithms:

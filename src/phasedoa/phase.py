@@ -94,12 +94,6 @@ def smooth(pseudo, model):
     aa = a * a
     st = float(model.sigma_theta_sq)
 
-    if n == 1:
-        prec = 1 / model.sigma_1_sq + lam[0]
-        var = 1 / prec
-        mean = var * lam[0] * v[0]
-        return _with_moments(np.array([mean]), np.array([var]))
-
     mp = [0.0] * n  # predicted mean
     pp = [0.0] * n  # predicted variance
     mf = [0.0] * n  # filtered mean

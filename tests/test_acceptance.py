@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from phasedoa.estimators import (EstimatorConfig, pavbem, pavbem_relaxed,
-                                 prvbem_baseline, extract_support)
+from phasedoa.estimators import (EstimatorConfig, extract_support,
+                                 run_estimator)
 from phasedoa.harness import (SweepConfig, normalized_correlation, run_sweep,
                               run_trial, trial_rng)
 from phasedoa.model import (BernoulliGaussianPrior, GroundTruth,
@@ -231,16 +231,19 @@ def test_criterion_08_variant_collapse_bitwise():
         y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
         ones = BernoulliGaussianPrior(sigma_x_sq=1.0, occupancy=np.ones(m))
-        a = pavbem(y, d, PROTOCOL_MODEL, ones, config)
-        b = pavbem_relaxed(y, d, PROTOCOL_MODEL, 1.0, config)
+        prior = BernoulliGaussianPrior(sigma_x_sq=1.0,
+                                       occupancy=np.full(m, 1 / m))
+        a = run_estimator("pavbem", y, d, PROTOCOL_MODEL, ones, config)
+        b = run_estimator("pavbem_relaxed", y, d, PROTOCOL_MODEL, prior,
+                          config)
         assert np.array_equal(a.z_hat, b.z_hat)
         assert np.array_equal(a.spike_probs, b.spike_probs)
         assert np.array_equal(a.phase_means, b.phase_means)
         assert a.final_noise_var == b.final_noise_var
         assert a.iterations_used == b.iterations_used
 
-        c = pavbem_relaxed(y, d, None, 1.0, config)
-        e = prvbem_baseline(y, d, 1.0, config)
+        c = run_estimator("pavbem_relaxed", y, d, None, prior, config)
+        e = run_estimator("prvbem", y, d, PROTOCOL_MODEL, prior, config)
         assert np.array_equal(c.z_hat, e.z_hat)
         assert np.array_equal(c.phase_means, e.phase_means)
         assert c.final_noise_var == e.final_noise_var
@@ -263,7 +266,8 @@ def test_criterion_09_exact_recovery_sanity():
         truth = GroundTruth(z=z, support=np.array([atom]),
                             theta=np.zeros(256))
         y = synthesize_observation(d, truth, 1e-4, rng).y
-        est = pavbem(y, d, PROTOCOL_MODEL, prior, noise_var=1e-4)
+        est = run_estimator("pavbem", y, d, PROTOCOL_MODEL, prior,
+                            noise_var=1e-4)
         corrs.append(normalized_correlation(z, est.z_hat))
         hits += int(extract_support(est, 1)[0][0] == atom)
     corrs = np.array(corrs)

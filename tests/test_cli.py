@@ -150,6 +150,20 @@ def test_estimate_writes_diagnostics(tmp_path):
     assert "# m_theta Sigma_theta" in text
 
 
+def test_rejected_estimate_writes_no_diagnostics(tmp_path, capsys):
+    obs, _ = _simulate(tmp_path)
+    diag = ["--diagnostics", str(tmp_path / "diag.log")]
+    # default config expects 256 sensors, the file holds 32
+    assert main(["estimate", obs] + diag) == 1
+    assert "dimension mismatch" in capsys.readouterr().err
+    y, theta = load_observation(obs)
+    y[5] = complex(np.nan, 0.0)
+    save_observation(obs, y, theta)
+    assert main(["estimate", obs] + SMALL + diag) == 1
+    assert "observation must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "diag.log").exists()
+
+
 def test_sweep_tiny_grid(tmp_path, capsys):
     args = (["sweep", "--output-dir", str(tmp_path)] + SMALL
             + ["--set", "k_values=1", "--set", "noise_grid=0.1,0.5",
@@ -175,6 +189,8 @@ def test_sweep_emits_one_file_per_k(tmp_path):
     ("sweep", "max_iterations=0", "max_iterations must be >= 1"),
     ("sweep", "n_trials=0", "n_trials must be >= 1"),
     ("estimate", "max_iterations=0", "max_iterations must be >= 1"),
+    ("sweep", "k_values=", "k_values must be nonempty and nonnegative"),
+    ("sweep", "k_values=-1", "k_values must be nonempty and nonnegative"),
 ])
 def test_invalid_setting_is_usage_error(tmp_path, capsys, command, setting,
                                         reason):
@@ -185,6 +201,32 @@ def test_invalid_setting_is_usage_error(tmp_path, capsys, command, setting,
         args = ["sweep", "--output-dir", str(tmp_path)]
     assert main(args + SMALL + ["--set", setting]) == 2
     assert "config error: " + reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, setting", [
+    ("estimate", ["--noise-var", "0.02"], "initial_noise_var=0.02"),
+    ("sweep", ["--k", "2"], "k_values=2"),
+    ("sweep", ["--noise-var", "0.05"], "noise_grid=0.05"),
+    ("sweep", ["--variant", "prvbem"], "algorithms=prvbem"),
+])
+def test_flag_sets_its_config_key(tmp_path, capsys, monkeypatch, command,
+                                  flag, setting):
+    if command == "estimate":
+        obs, _ = _simulate(tmp_path / "obs")
+        args = ["estimate", obs, "--k", "2"] + SMALL
+    else:
+        args = (["sweep", "--output-dir", "."] + SMALL
+                + ["--set", "k_values=1,2", "--set", "noise_grid=0.1,0.5",
+                   "--trials", "1"])
+    runs = []
+    for name, extra in (("flag", flag), ("set", ["--set", setting])):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        capsys.readouterr()
+        assert main(args + extra) == 0
+        files = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+        runs.append((capsys.readouterr().out, files))
+    assert runs[0] == runs[1]
 
 
 def test_sweep_unknown_algorithm(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Tests for config parsing, override merging and columnar file I/O."""
+"""Tests for config parsing and columnar file I/O."""
 
 import dataclasses
 
@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from phasedoa.config import (SCHEMA, ConfigError, coerce, defaults,
-                             help_lines, merge_overrides, parse_config,
-                             resolve_noise_grid, resolve_workers)
+                             help_lines, parse_config, resolve_workers)
 from phasedoa.harness import SweepConfig
 from phasedoa.io import (load_ground_truth, load_observation,
                          save_ground_truth, save_observation)
@@ -30,12 +29,10 @@ def test_defaults_match_sweep_config():
         if f.name == "base_seed":  # the seed key
             continue
         assert f.name in SCHEMA
-        # workers 0 means "read PHASEDOA_WORKERS"; an empty noise_grid
-        # defers to noise_grid_spec
-        if f.name not in ("workers", "noise_grid"):
+        # workers 0 means "read PHASEDOA_WORKERS"
+        if f.name != "workers":
             assert values[f.name] == getattr(sweep, f.name), f.name
     assert values["seed"] == sweep.base_seed
-    assert resolve_noise_grid(values) == sweep.noise_grid
 
 
 def test_parse_config_file(tmp_path):
@@ -88,38 +85,6 @@ def test_coerce_types():
         coerce("n_sensors", "many")
     with pytest.raises(ConfigError, match="unknown config key"):
         coerce("sensors", "5")
-
-
-def test_merge_overrides():
-    values = defaults()
-    merged = merge_overrides(values, {"k": 7, "seed": None})
-    assert merged["k"] == 7
-    assert merged["seed"] == 1234  # None means not given
-    with pytest.raises(ConfigError):
-        merge_overrides(values, {"bogus": 1})
-
-
-def test_resolve_noise_grid_explicit_wins():
-    values = defaults()
-    values["noise_grid"] = (0.1, 0.2)
-    assert resolve_noise_grid(values) == (0.1, 0.2)
-
-
-def test_resolve_noise_grid_from_spec():
-    values = defaults()
-    grid = resolve_noise_grid(values)
-    assert len(grid) == 8
-    np.testing.assert_allclose(grid[0], 1e-3)
-    np.testing.assert_allclose(grid[-1], 1.0)
-    assert all(b > a for a, b in zip(grid, grid[1:]))
-
-
-def test_resolve_noise_grid_bad_spec():
-    values = defaults()
-    for spec in ("linear:1:2:3", "log:1e-3:1", "log:0:1:4", "log:a:b:4"):
-        values["noise_grid_spec"] = spec
-        with pytest.raises(ConfigError):
-            resolve_noise_grid(values)
 
 
 def test_resolve_workers(monkeypatch):

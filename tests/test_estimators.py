@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+import phasedoa
 from phasedoa.estimators import (DoaEstimate, EstimatorConfig, beamforming,
-                                 extract_support, pavbem, pavbem_relaxed,
-                                 prvbem_baseline, run_estimator)
+                                 extract_support, run_estimator)
 from phasedoa.model import (BernoulliGaussianPrior, GroundTruth,
                             PhaseMarkovModel, build_dictionary,
                             default_angle_grid, sample_phase_trajectory,
@@ -29,7 +29,8 @@ def _instance(rng, n=32, m=8, k=2, noise_var=0.01, spacing=2.2):
 def test_zero_observation_converges_immediately():
     d = build_dictionary(16, 4.0, default_angle_grid(8))
     prior = BernoulliGaussianPrior(1.0, np.full(8, 0.25))
-    est = pavbem(np.zeros(16, dtype=complex), d, MODEL, prior)
+    est = run_estimator("pavbem", np.zeros(16, dtype=complex), d, MODEL,
+                        prior)
     assert est.converged
     assert est.iterations_used <= 2
     np.testing.assert_array_equal(est.z_hat, np.zeros(8))
@@ -42,7 +43,7 @@ def test_noiseless_single_source_recovery():
     z[7] = 1.0 - 0.5j
     truth = GroundTruth(z=z, support=np.array([7]), theta=np.zeros(64))
     y = synthesize_observation(d, truth, 0.0, np.random.default_rng(0)).y
-    est = pavbem(y, d, MODEL, prior, noise_var=1e-6)
+    est = run_estimator("pavbem", y, d, MODEL, prior, noise_var=1e-6)
     idx, _ = extract_support(est, 1)
     assert idx[0] == 7
     corr = np.abs(np.vdot(z, est.z_hat)) / (np.linalg.norm(z)
@@ -53,8 +54,8 @@ def test_noiseless_single_source_recovery():
 def test_determinism_bitwise():
     rng = np.random.default_rng(8)
     d, prior, _, y = _instance(rng)
-    a = pavbem(y, d, MODEL, prior)
-    b = pavbem(y, d, MODEL, prior)
+    a = run_estimator("pavbem", y, d, MODEL, prior)
+    b = run_estimator("pavbem", y, d, MODEL, prior)
     np.testing.assert_array_equal(a.z_hat, b.z_hat)
     np.testing.assert_array_equal(a.spike_probs, b.spike_probs)
     np.testing.assert_array_equal(a.phase_means, b.phase_means)
@@ -64,11 +65,11 @@ def test_determinism_bitwise():
 
 def test_variant_collapse_occupancy_one():
     rng = np.random.default_rng(9)
-    d, _, _, y = _instance(rng)
+    d, prior, _, y = _instance(rng)
     config = EstimatorConfig()
     ones = BernoulliGaussianPrior(sigma_x_sq=1.0, occupancy=np.ones(8))
-    a = pavbem(y, d, MODEL, ones, config)
-    b = pavbem_relaxed(y, d, MODEL, 1.0, config)
+    a = run_estimator("pavbem", y, d, MODEL, ones, config)
+    b = run_estimator("pavbem_relaxed", y, d, MODEL, prior, config)
     np.testing.assert_array_equal(a.z_hat, b.z_hat)
     np.testing.assert_array_equal(a.spike_probs, b.spike_probs)
     assert a.final_noise_var == b.final_noise_var
@@ -76,10 +77,10 @@ def test_variant_collapse_occupancy_one():
 
 def test_variant_collapse_flat_phase():
     rng = np.random.default_rng(10)
-    d, _, _, y = _instance(rng)
+    d, prior, _, y = _instance(rng)
     config = EstimatorConfig()
-    a = pavbem_relaxed(y, d, None, 1.0, config)
-    b = prvbem_baseline(y, d, 1.0, config)
+    a = run_estimator("pavbem_relaxed", y, d, None, prior, config)
+    b = run_estimator("prvbem", y, d, MODEL, prior, config)
     np.testing.assert_array_equal(a.z_hat, b.z_hat)
     np.testing.assert_array_equal(a.phase_means, b.phase_means)
     assert a.iterations_used == b.iterations_used
@@ -89,7 +90,8 @@ def test_fixed_noise_variance_is_kept():
     rng = np.random.default_rng(11)
     d, prior, _, y = _instance(rng)
     config = EstimatorConfig(estimate_noise=False)
-    est = pavbem(y, d, MODEL, prior, config, noise_var=0.123)
+    est = run_estimator("pavbem", y, d, MODEL, prior, config,
+                        noise_var=0.123)
     assert est.final_noise_var == 0.123
 
 
@@ -97,7 +99,7 @@ def test_iteration_cap():
     rng = np.random.default_rng(12)
     d, prior, _, y = _instance(rng)
     config = EstimatorConfig(max_iterations=1)
-    est = pavbem(y, d, MODEL, prior, config)
+    est = run_estimator("pavbem", y, d, MODEL, prior, config)
     assert est.iterations_used == 1
     assert not est.converged
 
@@ -105,7 +107,8 @@ def test_iteration_cap():
 def test_no_warm_start_still_runs():
     rng = np.random.default_rng(13)
     d, prior, _, y = _instance(rng)
-    est = pavbem(y, d, MODEL, prior, EstimatorConfig(relax_iterations=0))
+    est = run_estimator("pavbem", y, d, MODEL, prior,
+                        EstimatorConfig(relax_iterations=0))
     assert np.all(np.isfinite(est.z_hat))
     assert est.spike_probs.min() >= 0.0 and est.spike_probs.max() <= 1.0
 
@@ -181,14 +184,15 @@ def test_initial_noise_var_validation():
     d = build_dictionary(16, 4.0, default_angle_grid(4))
     prior = BernoulliGaussianPrior(1.0, np.full(4, 0.5))
     with pytest.raises(ValueError):
-        pavbem(np.ones(16, dtype=complex), d, MODEL, prior, noise_var=-1.0)
+        run_estimator("pavbem", np.ones(16, dtype=complex), d, MODEL, prior,
+                      noise_var=-1.0)
 
 
 def test_observation_length_checked():
     d = build_dictionary(16, 4.0, default_angle_grid(4))
     prior = BernoulliGaussianPrior(1.0, np.full(4, 0.5))
     with pytest.raises(ValueError):
-        pavbem(np.ones(15, dtype=complex), d, MODEL, prior)
+        run_estimator("pavbem", np.ones(15, dtype=complex), d, MODEL, prior)
 
 
 @pytest.mark.parametrize("variant", ["pavbem", "prvbem", "pavbem_relaxed",
@@ -227,3 +231,8 @@ def test_run_estimator_passes_trace():
     run_estimator("beamforming", y, d, MODEL, prior, config,
                   trace=lambda t, info: seen.append(t))
     assert seen == []
+
+
+def test_public_api():
+    for name in phasedoa.__all__:
+        assert hasattr(phasedoa, name), name

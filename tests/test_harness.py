@@ -152,6 +152,10 @@ def test_sweep_config_validation():
         SweepConfig(algorithms=("beamforming", "music"))
     with pytest.raises(ValueError, match="k exceeds grid_size"):
         SweepConfig(k_values=(2, 51))
+    with pytest.raises(ValueError, match="k_values must be nonempty"):
+        SweepConfig(k_values=())
+    with pytest.raises(ValueError, match="k_values must be nonempty"):
+        SweepConfig(k_values=(2, -1))
     with pytest.raises(ValueError, match="max_iterations"):
         SweepConfig(max_iterations=0)  # inherited from EstimatorConfig
 

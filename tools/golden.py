@@ -1,0 +1,152 @@
+"""Record the observable behaviour of the phasedoa command line.
+
+    python tools/golden.py OUT.json
+
+Runs a fixed list of ``phasedoa`` commands in-process, each in its own
+directory under one temporary directory, and writes one JSON entry per
+command: the sha256 of its stdout, its last stderr line, its exit code and
+the sha256 of every file it wrote. The package is imported from the
+``src/`` next to this script, so copying the script into another checkout
+records that checkout. Two records are compared with ``diff`` (the JSON is
+written one entry per line, in run order); a refactoring that should keep
+behaviour shows no lines but the ones it means to change.
+
+Outputs are byte-stable when BLAS runs on one thread
+(``OPENBLAS_NUM_THREADS=1``). The whole list takes well under a minute.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal width
+
+from phasedoa import cli  # noqa: E402
+
+VARIANTS = ("beamforming", "prvbem", "pavbem_relaxed", "pavbem")
+OBS = "../simulate-1/observation.txt"  # 256 sensors, k=5, sigma^2=0.01
+SMALL = ["--set", "n_sensors=32", "--set", "grid_size=8"]
+SMALL_OBS = "../simulate-small/observation.txt"
+SWEEP = (["sweep"] + SMALL + ["--set", "k_values=1,2",
+                              "--set", "noise_grid=0.1,0.5", "--trials", "2"])
+
+
+def _calls():
+    calls = [("simulate-%d" % seed, ["simulate", "--output-dir", ".",
+                                     "--seed", str(seed)])
+             for seed in (1, 7, 42)]
+    calls.append(("simulate-small", ["simulate", "--output-dir", ".",
+                                     "--seed", "3", "--k", "2",
+                                     "--noise-var", "0.05"] + SMALL))
+    for v in VARIANTS:
+        est = ["estimate", OBS, "--variant", v, "--k", "5"]
+        calls += [("estimate-%s" % v, est),
+                  ("estimate-%s-noise-var" % v, est + ["--noise-var", "0.02"]),
+                  ("estimate-%s-set-initial" % v,
+                   est + ["--set", "initial_noise_var=0.02"]),
+                  ("estimate-%s-order-index" % v, est + ["--order", "index"])]
+    for v in ("pavbem", "prvbem"):
+        calls.append(("estimate-%s-diagnostics" % v,
+                      ["estimate", SMALL_OBS, "--variant", v, "--k", "2",
+                       "--diagnostics", "diag.log",
+                       "--set", "max_iterations=5"] + SMALL))
+    calls.append(("sweep", SWEEP))
+    for name, flag, setting in (("k", ["--k", "2"], "k_values=2"),
+                                ("noise-var", ["--noise-var", "0.05"],
+                                 "noise_grid=0.05"),
+                                ("variant", ["--variant", "prvbem"],
+                                 "algorithms=prvbem"),
+                                ("order", ["--order", "index"],
+                                 "order=index")):
+        calls += [("sweep-flag-%s" % name, SWEEP + flag),
+                  ("sweep-set-%s" % name, SWEEP + ["--set", setting])]
+    for command in ("", "simulate", "estimate", "sweep"):
+        calls.append(("help-%s" % (command or "top"),
+                      ([command] if command else []) + ["--help"]))
+    small_est = ["estimate", SMALL_OBS, "--k", "2"] + SMALL
+    calls += [
+        ("reject-sweep-empty-k", SWEEP + ["--set", "k_values="]),
+        ("reject-sweep-negative-k", SWEEP + ["--k", "-2"]),
+        ("reject-sweep-set-negative-k", SWEEP + ["--set", "k_values=-1"]),
+        ("reject-sweep-bad-k", SWEEP + ["--k", "x"]),
+        ("reject-sweep-bad-noise-var", SWEEP + ["--noise-var", "x"]),
+        ("reject-sweep-empty-noise-grid", SWEEP + ["--set", "noise_grid="]),
+        ("reject-sweep-noise-grid-spec",
+         SWEEP + ["--set", "noise_grid_spec=log:1e-3:1:4"]),
+        ("reject-sweep-unknown-algorithm", SWEEP + ["--variant", "music"]),
+        ("reject-sweep-max-iterations", SWEEP + ["--set", "max_iterations=0"]),
+        ("reject-simulate-k-too-large",
+         ["simulate", "--output-dir", ".", "--k", "9"] + SMALL),
+        ("reject-simulate-negative-k",
+         ["simulate", "--output-dir", ".", "--k", "-2"] + SMALL),
+        ("reject-estimate-dimension-mismatch", ["estimate", SMALL_OBS]),
+        ("reject-estimate-dimension-mismatch-diagnostics",
+         ["estimate", SMALL_OBS, "--diagnostics", "diag.log"]),
+        ("reject-estimate-bad-noise-var", small_est + ["--noise-var", "x"]),
+        ("reject-estimate-negative-noise-var",
+         small_est + ["--noise-var", "-1"]),
+        ("reject-estimate-unknown-variant",
+         small_est + ["--variant", "music"]),
+        ("reject-estimate-missing-file", ["estimate", "missing.txt"] + SMALL),
+        ("reject-unknown-key", small_est + ["--set", "grid_sizes=9"]),
+        ("reject-bad-assignment", small_est + ["--set", "grid_size"]),
+        ("ignored-estimate-set-noise-var",
+         small_est + ["--set", "noise_var=0.02"]),
+        ("ignored-sweep-set-k", SWEEP + ["--set", "k=1"]),
+    ]
+    return calls
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse: --help and usage errors
+            code = exc.code
+    lines = err.getvalue().splitlines()
+    return {"stdout": _sha(out.getvalue().encode()),
+            "stderr": lines[-1] if lines else "", "exit": code}
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: python tools/golden.py OUT.json", file=sys.stderr)
+        return 2
+    out_path = Path(argv[0]).resolve()
+    here = os.getcwd()
+    record = {}
+    with tempfile.TemporaryDirectory() as root:
+        try:
+            for name, call in _calls():
+                cwd = Path(root) / name
+                cwd.mkdir()
+                os.chdir(cwd)
+                entry = _run(call)
+                entry["files"] = {str(p.relative_to(cwd)): _sha(p.read_bytes())
+                                  for p in sorted(cwd.rglob("*"))
+                                  if p.is_file()}
+                record[name] = entry
+        finally:
+            os.chdir(here)
+    with open(out_path, "w") as fh:
+        fh.write("{\n" + ",\n".join(
+            "%s: %s" % (json.dumps(name), json.dumps(entry, sort_keys=True))
+            for name, entry in record.items()) + "\n}\n")
+    print("wrote %d entries to %s" % (len(record), out_path))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,31 +8,29 @@ from .coefficients import (CoefficientPosterior, estimate_noise_variance,
 from .estimators import (DoaEstimate, EstimatorConfig, beamforming,
                          extract_support, run_estimator)
 from .harness import (SweepConfig, SweepResult, TrialRecord,
-                      normalized_correlation, read_dat, run_sweep, run_trial,
-                      trial_rng,
-                      write_dat)
-from .model import (BernoulliGaussianPrior, GroundTruth, Observation,
-                    PhaseMarkovModel, SteeringDictionary, build_dictionary,
-                    default_angle_grid, sample_ground_truth,
-                    sample_phase_trajectory, synthesize_observation)
-from .phase import (PhasePosterior, PhasePrecision, PseudoObservations,
-                    bessel_ratio, circular_moment, compute_eta,
-                    noninformative_posterior, prior_marginals,
-                    prior_precision, pseudo_observations, smooth)
+                      normalized_correlation, run_sweep, run_trial, trial_rng)
+from .io import read_dat, write_dat
+from .model import (BernoulliGaussianPrior, GroundTruth, PhaseMarkovModel,
+                    SteeringDictionary, build_dictionary, default_angle_grid,
+                    sample_ground_truth, sample_phase_trajectory,
+                    synthesize_observation)
+from .phase import (PhasePosterior, PseudoObservations, bessel_ratio,
+                    circular_moment, compute_eta, noninformative_posterior,
+                    prior_marginals, prior_precision, pseudo_observations,
+                    smooth)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BernoulliGaussianPrior", "CoefficientPosterior", "DoaEstimate",
-    "EstimatorConfig", "GroundTruth", "Observation", "PhaseMarkovModel",
-    "PhasePosterior", "PhasePrecision", "PseudoObservations",
-    "SteeringDictionary", "SweepConfig", "SweepResult", "TrialRecord",
-    "beamforming", "bessel_ratio", "build_dictionary", "circular_moment",
-    "compute_eta", "default_angle_grid", "estimate_noise_variance",
-    "extract_support", "noninformative_posterior", "normalized_correlation",
-    "phase_corrected_observation", "prior_marginals", "prior_precision",
-    "pseudo_observations", "read_dat", "run_estimator", "run_sweep",
-    "run_trial", "sample_ground_truth", "sample_phase_trajectory", "trial_rng",
-    "smooth", "sweep_atoms", "sweep_order", "synthesize_observation",
-    "update_atom", "write_dat",
+    "EstimatorConfig", "GroundTruth", "PhaseMarkovModel", "PhasePosterior",
+    "PseudoObservations", "SteeringDictionary", "SweepConfig", "SweepResult",
+    "TrialRecord", "beamforming", "bessel_ratio", "build_dictionary",
+    "circular_moment", "compute_eta", "default_angle_grid",
+    "estimate_noise_variance", "extract_support", "noninformative_posterior",
+    "normalized_correlation", "phase_corrected_observation", "prior_marginals",
+    "prior_precision", "pseudo_observations", "read_dat", "run_estimator",
+    "run_sweep", "run_trial", "sample_ground_truth", "sample_phase_trajectory",
+    "trial_rng", "smooth", "sweep_atoms", "sweep_order",
+    "synthesize_observation", "update_atom", "write_dat",
 ]

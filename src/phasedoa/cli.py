@@ -30,9 +30,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def option(p, flag, key, help=None, **kwargs):
-        """A flag that sets the config key ``key``, parsed as that key is."""
-        p.add_argument(flag, dest=key, type=cfg.SCHEMA[key][0], help=help,
-                       **kwargs)
+        """A flag that stores its text under the config key ``key``."""
+        p.add_argument(flag, dest=key, help=help, **kwargs)
 
     def common(p):
         p.add_argument("--config", help="flat key=value config file")
@@ -64,10 +63,11 @@ def _build_parser():
     common(swp)
     option(swp, "--trials", "n_trials", "trials per cell")
     option(swp, "--workers", "workers", "parallel trial workers")
-    option(swp, "--k", "k_values", "sweep a single source count", metavar="K")
-    option(swp, "--noise-var", "noise_grid", "sweep a single sigma^2",
+    option(swp, "--k", "k_values", "source counts, comma separated",
+           metavar="K")
+    option(swp, "--noise-var", "noise_grid", "sigma^2 values, comma separated",
            metavar="NOISE_VAR")
-    option(swp, "--variant", "algorithms", "run a single algorithm",
+    option(swp, "--variant", "algorithms", "algorithms, comma separated",
            metavar="VARIANT")
     option(swp, "--order", "order", choices=orders)
     return parser
@@ -80,9 +80,10 @@ def _load_values(args):
             raise ConfigError("--set expects KEY=VALUE, got %r" % assignment)
         key, text = assignment.split("=", 1)
         values[key.strip()] = cfg.coerce(key.strip(), text.strip())
-    # every flag stores its value under the config key it sets; flags win
-    values.update((key, value) for key, value in vars(args).items()
-                  if key in cfg.SCHEMA and value is not None)
+    # every flag stores its text under the config key it sets; flags win
+    values.update((key, cfg.coerce(key, text))
+                  for key, text in vars(args).items()
+                  if key in cfg.SCHEMA and text is not None)
     return values
 
 
@@ -91,9 +92,7 @@ def _sweep_config(values, **changes):
     changes win. A value the dataclass rejects is a usage error."""
     fields = {f.name: values[f.name] for f in dataclasses.fields(SweepConfig)
               if f.name in values}
-    fields.update(base_seed=values["seed"],
-                  workers=cfg.resolve_workers(values))
-    fields.update(changes)
+    fields.update(base_seed=values["seed"], **changes)
     try:
         return SweepConfig(**fields)
     except ValueError as exc:

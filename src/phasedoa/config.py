@@ -4,8 +4,6 @@ One registry drives parsing, defaults, type coercion and the CLI help
 listing. Unknown keys are rejected by name.
 """
 
-import os
-
 from .harness import SweepConfig
 
 
@@ -28,16 +26,9 @@ def _parse_optional_float(text):
     return float(text)
 
 
-def _parse_int_list(text):
-    return tuple(int(v) for v in text.split(",") if v.strip())
-
-
-def _parse_float_list(text):
-    return tuple(float(v) for v in text.split(",") if v.strip())
-
-
-def _parse_str_list(text):
-    return tuple(v.strip() for v in text.split(",") if v.strip())
+def _list_of(parse):
+    """A parser of comma separated values, each read by ``parse``."""
+    return lambda text: tuple(parse(v) for v in text.split(",") if v.strip())
 
 
 # key -> (parser, help)
@@ -61,18 +52,18 @@ SCHEMA = {
                           "starting sigma^2, 'auto' scales from the data"),
     "relax_iterations": (int, "leading iterations with occupancy clamped to 1"),
     "order": (str, "atom sweep order: energy or index"),
-    "k_values": (_parse_int_list, "source counts swept"),
-    "noise_grid": (_parse_float_list, "sigma^2 grid, comma separated"),
+    "k_values": (_list_of(int), "source counts swept"),
+    "noise_grid": (_list_of(float), "sigma^2 grid, comma separated"),
     "n_trials": (int, "Monte Carlo trials per cell"),
-    "algorithms": (_parse_str_list, "algorithms run by the sweep, in order"),
-    "workers": (int, "parallel trial workers; 0 reads PHASEDOA_WORKERS"),
+    "algorithms": (_list_of(str.strip),
+                   "algorithms run by the sweep, in order"),
+    "workers": (int, "parallel trial workers"),
     "output_dir": (str, "directory for output files"),
 }
 
-# defaults of the keys that SweepConfig lacks or reads differently
-# (workers 0 defers to PHASEDOA_WORKERS)
+# defaults of the keys that SweepConfig lacks
 _OWN_DEFAULTS = {"seed": SweepConfig.base_seed, "k": 5, "noise_var": 0.01,
-                 "variant": "pavbem", "initial_noise_var": None, "workers": 0}
+                 "variant": "pavbem", "initial_noise_var": None}
 
 
 def defaults():
@@ -109,21 +100,6 @@ def parse_config(path):
         key, text = (part.strip() for part in line.split("=", 1))
         values[key] = coerce(key, text)
     return values
-
-
-def resolve_workers(values):
-    workers = values["workers"]
-    if workers >= 1:
-        return workers
-    env = os.environ.get("PHASEDOA_WORKERS", "")
-    if env:
-        try:
-            parsed = int(env)
-        except ValueError as exc:
-            raise ConfigError("PHASEDOA_WORKERS must be an integer") from exc
-        if parsed >= 1:
-            return parsed
-    return 1
 
 
 def help_lines():

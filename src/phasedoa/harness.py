@@ -7,7 +7,6 @@ sweep gives byte-identical output no matter how many workers run it.
 
 import logging
 import os
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -15,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import VARIANTS, EstimatorConfig, run_estimator
+from .io import write_dat
 from .model import (BernoulliGaussianPrior, PhaseMarkovModel,
                     build_dictionary, default_angle_grid,
                     sample_ground_truth, sample_phase_trajectory,
@@ -58,6 +58,10 @@ class SweepConfig(EstimatorConfig):
             raise ValueError("noise_grid must be nonempty and positive")
         if not self.k_values or min(self.k_values) < 0:
             raise ValueError("k_values must be nonempty and nonnegative")
+        if not self.algorithms:
+            raise ValueError("algorithms must be nonempty")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if any(k > self.grid_size for k in self.k_values):
             raise ValueError("k exceeds grid_size")
         for alg in self.algorithms:
@@ -71,10 +75,9 @@ class TrialRecord:
     noise_var: float
     trial_index: int
     seed_key: tuple
-    correlations: dict
+    correlations: dict  # algorithm -> value, NaN where the run failed
     iterations: dict
     runtimes: dict
-    failed: dict
 
 
 @dataclass
@@ -123,22 +126,22 @@ def draw_trial(config, k, noise_var, rng):
         truth.theta = sample_phase_trajectory(model, config.n_sensors, rng)
     else:
         truth.theta = np.zeros(config.n_sensors)
-    y = synthesize_observation(dictionary, truth, noise_var, rng).y
+    y = synthesize_observation(dictionary, truth, noise_var, rng)
     return dictionary, model, prior, truth, y
 
 
 def run_trial(config, k_index, noise_index, trial_index):
     """Synthesize one draw and score every selected algorithm on it.
 
-    Estimator exceptions and non-finite outputs mark the algorithm failed
-    for this trial instead of aborting the sweep.
+    An estimator exception or a non-finite output records a NaN
+    correlation for that algorithm instead of aborting the sweep.
     """
     k = config.k_values[k_index]
     noise_var = float(np.asarray(config.noise_grid, dtype=float)[noise_index])
     rng = trial_rng(config.base_seed, k_index, noise_index, trial_index)
     dictionary, model, prior, truth, y = draw_trial(config, k, noise_var, rng)
 
-    correlations, iterations, runtimes, failed = {}, {}, {}, {}
+    correlations, iterations, runtimes = {}, {}, {}
     for alg in config.algorithms:
         start = time.perf_counter()
         try:
@@ -148,19 +151,17 @@ def run_trial(config, k_index, noise_index, trial_index):
                 raise FloatingPointError("non-finite estimate")
             correlations[alg] = normalized_correlation(truth.z, est.z_hat)
             iterations[alg] = est.iterations_used
-            failed[alg] = False
         except Exception:
             logger.exception("trial (k=%d, sigma2=%g, t=%d) failed for %s",
                              k, noise_var, trial_index, alg)
             correlations[alg] = float("nan")
             iterations[alg] = 0
-            failed[alg] = True
         runtimes[alg] = time.perf_counter() - start
     return TrialRecord(k=k, noise_var=noise_var, trial_index=trial_index,
                        seed_key=(config.base_seed, k_index, noise_index,
                                  trial_index),
                        correlations=correlations, iterations=iterations,
-                       runtimes=runtimes, failed=failed)
+                       runtimes=runtimes)
 
 
 def _trial_task(args):
@@ -170,7 +171,7 @@ def _trial_task(args):
 def run_sweep(config, progress=None, write=True):
     """Run every (k, sigma^2, trial) cell and write one table per k.
 
-    Aggregation walks trials in index order whatever the execution order
+    The pool returns trials in task order whatever the execution order
     was, so the means (and the files) do not depend on the worker count.
     """
     tasks = [(config, ki, ni, t)
@@ -183,29 +184,22 @@ def run_sweep(config, progress=None, write=True):
     else:
         records = [run_trial(*args) for args in tasks]
 
-    by_cell = {}
-    for rec, args in zip(records, tasks):
-        _, ki, ni, t = args
-        by_cell[(ki, ni, t)] = rec
-
     grid = np.asarray(config.noise_grid, dtype=float)
-    n_alg = len(config.algorithms)
+    # records come back in task order (k, sigma^2, trial), a failed run as
+    # a NaN; corr[alg, k, sigma^2] holds one cell's trials contiguously, so
+    # each sum is the pairwise sum np.mean takes over that cell alone
+    corr = np.array([[rec.correlations[alg] for rec in records]
+                     for alg in config.algorithms])
+    corr = corr.reshape(len(corr), -1, grid.size, config.n_trials)
+    failed = np.isnan(corr)
+    with np.errstate(invalid="ignore"):  # 0/0 where every run failed
+        means = np.where(failed, 0.0, corr).sum(-1) / (~failed).sum(-1)
     tables, failed_counts, paths = {}, {}, {}
     for ki, k in enumerate(config.k_values):
-        table = np.empty((grid.size, 1 + n_alg))
-        fails = np.zeros((grid.size, n_alg), dtype=int)
-        for ni, noise_var in enumerate(grid):
-            table[ni, 0] = noise_var
-            for ai, alg in enumerate(config.algorithms):
-                values = []
-                for t in range(config.n_trials):
-                    rec = by_cell[(ki, ni, t)]
-                    if rec.failed[alg]:
-                        fails[ni, ai] += 1
-                    else:
-                        values.append(rec.correlations[alg])
-                table[ni, 1 + ai] = np.mean(values) if values else float("nan")
-            if progress is not None:
+        table = np.column_stack([grid, means[:, ki].T])
+        fails = failed[:, ki].sum(-1).T
+        if progress is not None:
+            for ni, noise_var in enumerate(grid):
                 progress(k, noise_var, table[ni, 1:], fails[ni])
         tables[k] = table
         failed_counts[k] = fails
@@ -215,31 +209,3 @@ def run_sweep(config, progress=None, write=True):
             paths[k] = path
     return SweepResult(tables=tables, failed_counts=failed_counts,
                        paths=paths, algorithms=tuple(config.algorithms))
-
-
-def write_dat(table, path, column_names):
-    """Whitespace-delimited table, one header comment naming the columns,
-    full float precision. Written to a temp file and renamed into place so
-    an interrupted run leaves no partial file."""
-    table = np.atleast_2d(np.asarray(table, dtype=float))
-    if table.size == 0:
-        raise ValueError("refusing to write an empty table")
-    if len(column_names) != table.shape[1]:
-        raise ValueError("column name count does not match table width")
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dat-", text=True)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write("# " + " ".join(column_names) + "\n")
-            for row in table:
-                fh.write(" ".join("%.17g" % v for v in row) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
-
-
-def read_dat(path):
-    return np.loadtxt(path, comments="#", ndmin=2)

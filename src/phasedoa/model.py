@@ -25,10 +25,6 @@ class SteeringDictionary:
     angles: np.ndarray
     columns: np.ndarray
 
-    @property
-    def n_atoms(self):
-        return self.columns.shape[1]
-
     @cached_property
     def gram(self):
         """Row i is D^H d_i, column i of the Gram matrix D^H D, stored
@@ -72,11 +68,6 @@ class GroundTruth:
     z: np.ndarray
     support: np.ndarray
     theta: np.ndarray | None = None
-
-
-@dataclass
-class Observation:
-    y: np.ndarray
 
 
 def build_dictionary(n_sensors, spacing_ratio, angles):
@@ -144,4 +135,4 @@ def synthesize_observation(dictionary, truth, noise_var, rng):
     n = dictionary.n_sensors
     scale = np.sqrt(noise_var / 2)
     noise = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return Observation(y=clean + noise)
+    return clean + noise

@@ -13,14 +13,6 @@ from scipy.special import i0e, i1e
 
 
 @dataclass
-class PhasePrecision:
-    """Symmetric tridiagonal precision, stored as two bands."""
-
-    diagonal: np.ndarray
-    off_diagonal: np.ndarray
-
-
-@dataclass
 class PseudoObservations:
     values: np.ndarray      # arg(eta_n) in (-pi, pi]
     precisions: np.ndarray  # 2|eta_n|/sigma^2, zero marks a missing sensor
@@ -34,7 +26,8 @@ class PhasePosterior:
 
 
 def prior_precision(model, n):
-    """Tridiagonal prior precision of (theta_1, ..., theta_n).
+    """Tridiagonal prior precision of (theta_1, ..., theta_n), as its two
+    bands (diagonal, off_diagonal).
 
     diagonal [1/s1 + a^2/st, (1+a^2)/st, ..., (1+a^2)/st, 1/st],
     off-diagonal -a/st, with s1 = sigma_1_sq and st = sigma_theta_sq.
@@ -47,7 +40,7 @@ def prior_precision(model, n):
     diag[0] = 1 / model.sigma_1_sq + a * a / st
     diag[-1] = 1 / st
     off = np.full(n - 1, -a / st)
-    return PhasePrecision(diagonal=diag, off_diagonal=off)
+    return diag, off
 
 
 def prior_marginals(model, n):

@@ -109,11 +109,11 @@ def test_criterion_04_smoother_against_dense_solve():
                                     precisions=lam)
         post = smooth(pseudo, PROTOCOL_MODEL)
 
-        tri = prior_precision(PROTOCOL_MODEL, n)
-        prec = np.diag(tri.diagonal + lam)
+        diagonal, off_diagonal = prior_precision(PROTOCOL_MODEL, n)
+        prec = np.diag(diagonal + lam)
         idx = np.arange(n - 1)
-        prec[idx, idx + 1] = tri.off_diagonal
-        prec[idx + 1, idx] = tri.off_diagonal
+        prec[idx, idx + 1] = off_diagonal
+        prec[idx + 1, idx] = off_diagonal
         cov = np.linalg.inv(prec)
         means = cov @ (lam * pseudo.values)
         variances = np.diag(cov)
@@ -265,7 +265,7 @@ def test_criterion_09_exact_recovery_sanity():
         z[atom] = np.exp(2j * np.pi * rng.random())  # unit planted source
         truth = GroundTruth(z=z, support=np.array([atom]),
                             theta=np.zeros(256))
-        y = synthesize_observation(d, truth, 1e-4, rng).y
+        y = synthesize_observation(d, truth, 1e-4, rng)
         est = run_estimator("pavbem", y, d, PROTOCOL_MODEL, prior,
                             noise_var=1e-4)
         corrs.append(normalized_correlation(z, est.z_hat))

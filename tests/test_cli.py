@@ -191,6 +191,11 @@ def test_sweep_emits_one_file_per_k(tmp_path):
     ("estimate", "max_iterations=0", "max_iterations must be >= 1"),
     ("sweep", "k_values=", "k_values must be nonempty and nonnegative"),
     ("sweep", "k_values=-1", "k_values must be nonempty and nonnegative"),
+    ("sweep", "algorithms=", "algorithms must be nonempty"),
+    ("sweep", "--workers 0", "workers must be >= 1"),
+    ("sweep", "--k x", "bad value for k_values"),
+    ("sweep", "--noise-var x", "bad value for noise_grid"),
+    ("estimate", "--noise-var x", "bad value for initial_noise_var"),
 ])
 def test_invalid_setting_is_usage_error(tmp_path, capsys, command, setting,
                                         reason):
@@ -199,7 +204,9 @@ def test_invalid_setting_is_usage_error(tmp_path, capsys, command, setting,
         args = ["estimate", obs]
     else:
         args = ["sweep", "--output-dir", str(tmp_path)]
-    assert main(args + SMALL + ["--set", setting]) == 2
+    # a setting is a config assignment or a flag with its value
+    extra = setting.split() if setting.startswith("--") else ["--set", setting]
+    assert main(args + SMALL + extra) == 2
     assert "config error: " + reason in capsys.readouterr().err
 
 

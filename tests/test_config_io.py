@@ -1,15 +1,16 @@
 """Tests for config parsing and columnar file I/O."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 from phasedoa.config import (SCHEMA, ConfigError, coerce, defaults,
-                             help_lines, parse_config, resolve_workers)
+                             help_lines, parse_config)
 from phasedoa.harness import SweepConfig
-from phasedoa.io import (load_ground_truth, load_observation,
-                         save_ground_truth, save_observation)
+from phasedoa.io import (load_ground_truth, load_observation, read_dat,
+                         save_ground_truth, save_observation, write_dat)
 
 
 def test_defaults_cover_schema():
@@ -29,9 +30,7 @@ def test_defaults_match_sweep_config():
         if f.name == "base_seed":  # the seed key
             continue
         assert f.name in SCHEMA
-        # workers 0 means "read PHASEDOA_WORKERS"
-        if f.name != "workers":
-            assert values[f.name] == getattr(sweep, f.name), f.name
+        assert values[f.name] == getattr(sweep, f.name), f.name
     assert values["seed"] == sweep.base_seed
 
 
@@ -87,20 +86,6 @@ def test_coerce_types():
         coerce("sensors", "5")
 
 
-def test_resolve_workers(monkeypatch):
-    values = defaults()
-    values["workers"] = 3
-    assert resolve_workers(values) == 3
-    values["workers"] = 0
-    monkeypatch.delenv("PHASEDOA_WORKERS", raising=False)
-    assert resolve_workers(values) == 1
-    monkeypatch.setenv("PHASEDOA_WORKERS", "4")
-    assert resolve_workers(values) == 4
-    monkeypatch.setenv("PHASEDOA_WORKERS", "lots")
-    with pytest.raises(ConfigError):
-        resolve_workers(values)
-
-
 def test_help_lines_cover_every_key():
     text = "\n".join(help_lines())
     for key in SCHEMA:
@@ -145,3 +130,32 @@ class TestObservationFiles:
         path.write_text("1.0\n2.0\n")
         with pytest.raises(ValueError, match="columns"):
             load_observation(str(path))
+
+
+class TestDatFiles:
+    def test_round_trip_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(2)
+        table = rng.standard_normal((5, 3))
+        path = str(tmp_path / "table.dat")
+        write_dat(table, path, ("sigma_sq", "a", "b"))
+        np.testing.assert_array_equal(read_dat(path), table)
+
+    def test_header_names_columns(self, tmp_path):
+        path = str(tmp_path / "t.dat")
+        write_dat(np.array([[1.0, 2.0]]), path, ("sigma_sq", "pavbem"))
+        with open(path) as fh:
+            assert fh.readline() == "# sigma_sq pavbem\n"
+
+    def test_no_partial_files_left(self, tmp_path):
+        path = str(tmp_path / "t.dat")
+        write_dat(np.ones((2, 2)), path, ("x", "y"))
+        save_observation(str(tmp_path / "obs.txt"), np.ones(3, dtype=complex),
+                         np.zeros(3))
+        assert sorted(os.listdir(tmp_path)) == ["obs.txt", "t.dat"]
+
+    def test_validation(self, tmp_path):
+        path = str(tmp_path / "t.dat")
+        with pytest.raises(ValueError):
+            write_dat(np.empty((0, 2)), path, ("x", "y"))
+        with pytest.raises(ValueError):
+            write_dat(np.ones((2, 2)), path, ("x",))

@@ -22,7 +22,7 @@ def _instance(rng, n=32, m=8, k=2, noise_var=0.01, spacing=2.2):
     z[support] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     theta = sample_phase_trajectory(MODEL, n, rng)
     truth = GroundTruth(z=z, support=support, theta=theta)
-    y = synthesize_observation(d, truth, noise_var, rng).y
+    y = synthesize_observation(d, truth, noise_var, rng)
     return d, prior, truth, y
 
 
@@ -42,7 +42,7 @@ def test_noiseless_single_source_recovery():
     z = np.zeros(16, dtype=complex)
     z[7] = 1.0 - 0.5j
     truth = GroundTruth(z=z, support=np.array([7]), theta=np.zeros(64))
-    y = synthesize_observation(d, truth, 0.0, np.random.default_rng(0)).y
+    y = synthesize_observation(d, truth, 0.0, np.random.default_rng(0))
     est = run_estimator("pavbem", y, d, MODEL, prior, noise_var=1e-6)
     idx, _ = extract_support(est, 1)
     assert idx[0] == 7

@@ -33,11 +33,11 @@ def _dense_posterior(model, pseudo):
     """Information-form reference: tridiagonal prior precision plus the
     diagonal pseudo-precision, solved densely."""
     n = pseudo.values.shape[0]
-    tri = prior_precision(model, n)
-    prec = np.diag(tri.diagonal.astype(float))
+    diagonal, off_diagonal = prior_precision(model, n)
+    prec = np.diag(diagonal.astype(float))
     idx = np.arange(n - 1)
-    prec[idx, idx + 1] = tri.off_diagonal
-    prec[idx + 1, idx] = tri.off_diagonal
+    prec[idx, idx + 1] = off_diagonal
+    prec[idx + 1, idx] = off_diagonal
     prec += np.diag(pseudo.precisions)
     cov = np.linalg.inv(prec)
     means = cov @ (pseudo.precisions * pseudo.values)
@@ -76,22 +76,22 @@ def _array_smooth(pseudo, model):
 
 def test_prior_precision_hand_values():
     model = PhaseMarkovModel(a=0.8, sigma_theta_sq=1.0, sigma_1_sq=1.0)
-    tri = prior_precision(model, 3)
-    np.testing.assert_allclose(tri.diagonal, [1.64, 1.64, 1.0], rtol=1e-14)
-    np.testing.assert_allclose(tri.off_diagonal, [-0.8, -0.8], rtol=1e-14)
+    diagonal, off_diagonal = prior_precision(model, 3)
+    np.testing.assert_allclose(diagonal, [1.64, 1.64, 1.0], rtol=1e-14)
+    np.testing.assert_allclose(off_diagonal, [-0.8, -0.8], rtol=1e-14)
 
 
 def test_prior_precision_diffuse_start():
     model = PhaseMarkovModel(a=0.8, sigma_theta_sq=1.0, sigma_1_sq=1e6)
-    tri = prior_precision(model, 2)
-    np.testing.assert_allclose(tri.diagonal, [0.640001, 1.0], rtol=1e-12)
+    diagonal, _ = prior_precision(model, 2)
+    np.testing.assert_allclose(diagonal, [0.640001, 1.0], rtol=1e-12)
 
 
 def test_prior_precision_decoupled_when_a_zero():
     model = PhaseMarkovModel(a=0.0, sigma_theta_sq=2.0, sigma_1_sq=4.0)
-    tri = prior_precision(model, 4)
-    np.testing.assert_allclose(tri.diagonal, [0.25, 0.5, 0.5, 0.5])
-    np.testing.assert_array_equal(tri.off_diagonal, np.zeros(3))
+    diagonal, off_diagonal = prior_precision(model, 4)
+    np.testing.assert_allclose(diagonal, [0.25, 0.5, 0.5, 0.5])
+    np.testing.assert_array_equal(off_diagonal, np.zeros(3))
 
 
 def test_prior_precision_needs_chain():

@@ -66,6 +66,9 @@ def _calls():
                                  "order=index")):
         calls += [("sweep-flag-%s" % name, SWEEP + flag),
                   ("sweep-set-%s" % name, SWEEP + ["--set", setting])]
+    calls += [("sweep-flag-k-list", SWEEP + ["--k", "1,2"]),
+              # the pool path: its files must equal those of "sweep"
+              ("sweep-workers-2", SWEEP + ["--workers", "2"])]
     for command in ("", "simulate", "estimate", "sweep"):
         calls.append(("help-%s" % (command or "top"),
                       ([command] if command else []) + ["--help"]))
@@ -80,6 +83,8 @@ def _calls():
         ("reject-sweep-noise-grid-spec",
          SWEEP + ["--set", "noise_grid_spec=log:1e-3:1:4"]),
         ("reject-sweep-unknown-algorithm", SWEEP + ["--variant", "music"]),
+        ("reject-sweep-empty-algorithms", SWEEP + ["--set", "algorithms="]),
+        ("reject-sweep-workers-0", SWEEP + ["--workers", "0"]),
         ("reject-sweep-max-iterations", SWEEP + ["--set", "max_iterations=0"]),
         ("reject-simulate-k-too-large",
          ["simulate", "--output-dir", ".", "--k", "9"] + SMALL),

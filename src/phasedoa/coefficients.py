@@ -147,23 +147,23 @@ def sweep_order(z_means, scheme):
     raise ValueError("unknown sweep order %r" % (scheme,))
 
 
-def estimate_noise_variance(y, y_bar, posteriors, dictionary):
+def estimate_noise_variance(y, y_bar, posteriors, fitted):
     """Closed-form M-step value of sigma^2, i.e. (1/N) E_q ||y - P D z||^2.
 
     The phase enters through ybar (first cross term); the quadratic term
     uses E|z_i|^2 = q_i (Sigma_i + |m_i|^2) and |<z_i>|^2 on the diagonal.
-    Returns the raw value; the caller applies the floor. A value further
-    below zero than rounding explains (1e-9 of the power of y) means y_bar
-    does not belong to y and raises FloatingPointError.
+    fitted is the signal D<z> of these posteriors. Returns the raw value;
+    the caller applies the floor. A value further below zero than rounding
+    explains (1e-9 of the power of y) means y_bar does not belong to y and
+    raises FloatingPointError.
     """
-    n = dictionary.n_sensors
+    n = y.shape[0]
     w = posteriors.z_mean()
-    u = dictionary.columns @ w
     second_moment = posteriors.spike_prob * (
         posteriors.cond_var + np.abs(posteriors.cond_mean) ** 2)
     total = (np.vdot(y, y).real
-             - 2.0 * np.vdot(u, y_bar).real
-             + np.vdot(u, u).real
+             - 2.0 * np.vdot(fitted, y_bar).real
+             + np.vdot(fitted, fitted).real
              + n * np.sum(second_moment - np.abs(w) ** 2))
     value = total / n
     # up to rounding the expectation cannot be negative

@@ -46,7 +46,8 @@ SCHEMA = {
     "phase_noise": (_parse_bool, "synthesize with phase noise"),
     "variant": (str, "estimator: pavbem, pavbem_relaxed, prvbem, beamforming"),
     "max_iterations": (int, "outer iteration cap"),
-    "convergence_tol": (float, "max-norm tolerance on <z> change"),
+    "convergence_tol": (float, "relative change of D<z> that counts as "
+                        "converged"),
     "estimate_noise": (_parse_bool, "re-estimate sigma^2 each iteration"),
     "initial_noise_var": (_parse_optional_float,
                           "starting sigma^2, 'auto' scales from the data"),

@@ -5,7 +5,6 @@ read-back reproduces every float bit for bit.
 """
 
 import os
-import tempfile
 
 import numpy as np
 
@@ -21,7 +20,9 @@ def write_dat(table, path, column_names):
         raise ValueError("column name count does not match table width")
     row = " ".join(["%.17g"] * table.shape[1]) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dat-", text=True)
+    tmp = os.path.join(directory, ".dat-" + os.urandom(8).hex())
+    # created 0o666 so that the umask sets the mode, as for a plain open
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write("# " + " ".join(column_names) + "\n")

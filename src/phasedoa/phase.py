@@ -54,10 +54,11 @@ def prior_marginals(model, n):
     return v
 
 
-def compute_eta(y, dictionary, z_means):
-    """eta_n = y_n * conj((D <z>)_n); its argument and 2|eta|/sigma^2 act as
-    the pseudo-observation and precision for the phase chain."""
-    return y * np.conj(dictionary.columns @ z_means)
+def compute_eta(y, fitted):
+    """eta_n = y_n * conj(u_n) for the fitted signal u = D <z>; its argument
+    and 2|eta|/sigma^2 act as the pseudo-observation and precision for the
+    phase chain."""
+    return y * np.conj(fitted)
 
 
 def pseudo_observations(eta, noise_var):

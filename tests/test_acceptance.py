@@ -202,7 +202,8 @@ def test_criterion_07_noise_m_step_monte_carlo():
         means = rng.uniform(-np.pi, np.pi, n)
         variances = rng.uniform(0.01, 0.3, n)
         y_bar = y * np.conj(circular_moment(means, variances))
-        closed = estimate_noise_variance(y, y_bar, post, d)
+        closed = estimate_noise_variance(y, y_bar, post,
+                                         d.columns @ post.z_mean())
 
         draws = 100_000
         theta = rng.vonmises(means, 1.0 / variances, size=(draws, n))

@@ -247,7 +247,8 @@ class TestNoiseVariance:
         post = CoefficientPosterior(spike_prob=np.zeros(4),
                                     cond_mean=np.ones(4, dtype=complex),
                                     cond_var=np.ones(4))
-        value = estimate_noise_variance(y, y.copy(), post, d)
+        value = estimate_noise_variance(y, y.copy(), post,
+                                        d.columns @ post.z_mean())
         np.testing.assert_allclose(value, np.vdot(y, y).real / 16, rtol=1e-14)
 
     def test_zero_everything(self):
@@ -256,7 +257,8 @@ class TestNoiseVariance:
                                     cond_mean=np.zeros(2, dtype=complex),
                                     cond_var=np.ones(2))
         z = np.zeros(8, dtype=complex)
-        assert estimate_noise_variance(z, z, post, d) == 0.0
+        assert estimate_noise_variance(z, z, post,
+                                       d.columns @ post.z_mean()) == 0.0
 
     def test_matches_von_mises_monte_carlo(self):
         # oracle: sample z from the spike-and-slab posterior and theta from
@@ -276,7 +278,8 @@ class TestNoiseVariance:
         moments = circular_moment(means, variances)
         y_bar = y * np.conj(moments)
 
-        closed = estimate_noise_variance(y, y_bar, post, d)
+        closed = estimate_noise_variance(y, y_bar, post,
+                                         d.columns @ post.z_mean())
 
         draws = 20_000
         acc = 0.0
@@ -302,7 +305,7 @@ class TestNoiseVariance:
         y = 0.01 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
         y_bar = 10.0 * (d.columns @ post.z_mean())
         with pytest.raises(FloatingPointError, match="rounding bound"):
-            estimate_noise_variance(y, y_bar, post, d)
+            estimate_noise_variance(y, y_bar, post, d.columns @ post.z_mean())
 
     def test_never_negative(self):
         rng = np.random.default_rng(6)
@@ -310,4 +313,5 @@ class TestNoiseVariance:
             d, prior, y_bar, post = _random_setup(rng)
             y = y_bar + 0.1 * (rng.standard_normal(32)
                                + 1j * rng.standard_normal(32))
-            assert estimate_noise_variance(y, y_bar, post, d) >= 0.0
+            fitted = d.columns @ post.z_mean()
+            assert estimate_noise_variance(y, y_bar, post, fitted) >= 0.0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -152,6 +153,17 @@ class TestDatFiles:
         save_observation(str(tmp_path / "obs.txt"), np.ones(3, dtype=complex),
                          np.zeros(3))
         assert sorted(os.listdir(tmp_path)) == ["obs.txt", "t.dat"]
+
+    def test_mode_follows_umask(self, tmp_path):
+        previous = os.umask(0o022)
+        try:
+            write_dat(np.ones((2, 2)), str(tmp_path / "t.dat"), ("x", "y"))
+            save_observation(str(tmp_path / "obs.txt"),
+                             np.ones(3, dtype=complex))
+        finally:
+            os.umask(previous)
+        for name in ("t.dat", "obs.txt"):
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644
 
     def test_validation(self, tmp_path):
         path = str(tmp_path / "t.dat")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phasedoa
 from phasedoa.estimators import (DoaEstimate, EstimatorConfig, beamforming,
@@ -236,3 +238,65 @@ def test_run_estimator_passes_trace():
 def test_public_api():
     for name in phasedoa.__all__:
         assert hasattr(phasedoa, name), name
+
+
+@pytest.mark.parametrize("variant", ["pavbem", "pavbem_relaxed", "prvbem"])
+@pytest.mark.parametrize("scale", [2.0 ** -20, 2.0 ** 20])
+def test_scale_equivariance_bitwise(variant, scale):
+    # a power-of-two scale is exact in every operation, so a unit-free
+    # estimator returns exactly scale * z_hat after the same iterations
+    rng = np.random.default_rng(18)
+    d, prior, _, y = _instance(rng)
+    base = run_estimator(variant, y, d, MODEL, prior, noise_var=0.01)
+    scaled_prior = BernoulliGaussianPrior(prior.sigma_x_sq * scale ** 2,
+                                          prior.occupancy)
+    est = run_estimator(variant, scale * y, d, MODEL, scaled_prior,
+                        noise_var=0.01 * scale ** 2)
+    np.testing.assert_array_equal(est.z_hat, scale * base.z_hat)
+    np.testing.assert_array_equal(est.spike_probs, base.spike_probs)
+    assert est.iterations_used == base.iterations_used
+    assert est.converged == base.converged
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.integers(-60, 60),
+       variant=st.sampled_from(["pavbem", "pavbem_relaxed", "prvbem"]))
+def test_scale_equivariance_property(seed, exponent, variant):
+    scale = 2.0 ** exponent
+    d, prior, _, y = _instance(np.random.default_rng(seed))
+    base = run_estimator(variant, y, d, MODEL, prior)
+    est = run_estimator(variant, scale * y, d, MODEL,
+                        BernoulliGaussianPrior(prior.sigma_x_sq * scale ** 2,
+                                               prior.occupancy))
+    assert np.all(np.isfinite(est.z_hat))
+    assert np.all((est.spike_probs >= 0.0) & (est.spike_probs <= 1.0))
+    np.testing.assert_array_equal(est.z_hat, scale * base.z_hat)
+    assert est.iterations_used == base.iterations_used
+
+
+def test_stop_rule_is_relative_change_of_fitted_signal():
+    rng = np.random.default_rng(19)
+    d, prior, _, y = _instance(rng)
+    config = EstimatorConfig(relax_iterations=3)
+    deltas = []
+    est = run_estimator("pavbem", y, d, MODEL, prior, config,
+                        trace=lambda t, info: deltas.append(info["delta"]))
+    assert est.converged and est.iterations_used == len(deltas)
+    # <z> after t iterations is the estimate of a run capped at t; before
+    # the first it is the matched filter, the warm start
+    z = [beamforming(y, d).z_hat]
+    for t in range(1, 6):
+        capped = EstimatorConfig(max_iterations=t, relax_iterations=3)
+        z.append(run_estimator("pavbem", y, d, MODEL, prior, capped).z_hat)
+    for t in range(1, 6):
+        new, old = d.columns @ z[t], d.columns @ z[t - 1]
+        expected = np.max(np.abs(new - old)) / np.max(np.abs(new))
+        np.testing.assert_allclose(deltas[t - 1], expected, rtol=1e-12)
+    # warm-up ends at relax_iterations or at the first small delta; the run
+    # ends at the first small delta after that
+    tol = config.convergence_tol
+    handover = next(t for t, delta in enumerate(deltas, 1)
+                    if delta < tol or t >= config.relax_iterations)
+    stop = next(t for t, delta in enumerate(deltas, 1)
+                if t > handover and delta < tol)
+    assert est.iterations_used == stop

@@ -112,8 +112,8 @@ def test_prior_marginals_recursion():
 def test_compute_eta_zero_coefficients():
     d = build_dictionary(8, 4.0, np.array([0.1, 0.2]))
     y = np.ones(8, dtype=complex)
-    np.testing.assert_array_equal(compute_eta(y, d, np.zeros(2, dtype=complex)),
-                                  np.zeros(8))
+    np.testing.assert_array_equal(
+        compute_eta(y, d.columns @ np.zeros(2, dtype=complex)), np.zeros(8))
 
 
 def test_compute_eta_hand_values():
@@ -122,7 +122,8 @@ def test_compute_eta_hand_values():
     y = np.array([1.0 + 1.0j, 2.0 - 1.0j])
     z = np.array([0.5 + 0.5j])
     expected = y * np.conj(d.columns[:, 0] * z[0])
-    np.testing.assert_allclose(compute_eta(y, d, z), expected, atol=1e-12)
+    np.testing.assert_allclose(compute_eta(y, d.columns @ z), expected,
+                               atol=1e-12)
 
 
 def test_pseudo_observations_scaling():

@@ -38,12 +38,14 @@ def _build_parser():
         p.add_argument("--set", dest="assignments", action="append",
                        default=[], metavar="KEY=VALUE",
                        help="override any config key (repeatable)")
+
+    def outputs(p):
         option(p, "--seed", "seed", "base seed")
         option(p, "--output-dir", "output_dir", "directory for output files")
 
-    orders = ("energy", "index")
     sim = sub.add_parser("simulate", help="synthesize one observation")
     common(sim)
+    outputs(sim)
     option(sim, "--k", "k", "number of planted sources")
     option(sim, "--noise-var", "noise_var", "additive noise variance")
 
@@ -55,12 +57,12 @@ def _build_parser():
     option(est, "--k", "k", "support size to report")
     option(est, "--noise-var", "initial_noise_var", "initial sigma^2",
            metavar="NOISE_VAR")
-    option(est, "--order", "order", "atom sweep order", choices=orders)
     est.add_argument("--diagnostics", metavar="PATH",
                      help="append per-iteration diagnostics to PATH")
 
     swp = sub.add_parser("sweep", help="Monte Carlo noise sweep")
     common(swp)
+    outputs(swp)
     option(swp, "--trials", "n_trials", "trials per cell")
     option(swp, "--workers", "workers", "parallel trial workers")
     option(swp, "--k", "k_values", "source counts, comma separated",
@@ -69,7 +71,6 @@ def _build_parser():
            metavar="NOISE_VAR")
     option(swp, "--variant", "algorithms", "algorithms, comma separated",
            metavar="VARIANT")
-    option(swp, "--order", "order", choices=orders)
     return parser
 
 

@@ -32,7 +32,7 @@ def initial_posterior(y, dictionary, prior):
     cond_mean = (dictionary.columns.conj().T @ y) / n
     m = cond_mean.shape[0]
     sx = prior.sigma_x_sq
-    return CoefficientPosterior(spike_prob=np.minimum(prior.occupancy, 1.0).copy(),
+    return CoefficientPosterior(spike_prob=prior.occupancy.copy(),
                                 cond_mean=cond_mean,
                                 cond_var=np.full(m, sx))
 
@@ -99,8 +99,9 @@ def update_atom(i, y_bar, posteriors, dictionary, prior, noise_var):
     return out
 
 
-def sweep_atoms(y_bar, posteriors, dictionary, prior, noise_var, order):
-    """One Gauss-Seidel pass over all atoms in the given order.
+def sweep_atoms(y_bar, posteriors, dictionary, prior, noise_var):
+    """One Gauss-Seidel pass over all atoms, in sweep_order of the current
+    <z>: the atoms that carry the most energy are updated first.
 
     Tracks c = D^H r, every atom's correlation with the residual
     r = ybar - D<z>. Atom i sees d_i^H r_i = c_i + N <z_i>, and moving
@@ -110,14 +111,11 @@ def sweep_atoms(y_bar, posteriors, dictionary, prior, noise_var, order):
     """
     if noise_var <= 0:
         raise ValueError("noise_var must be positive")
-    order = np.asarray(order)
-    m = posteriors.spike_prob.shape[0]
-    if not np.array_equal(np.sort(order), np.arange(m)):
-        raise ValueError("order must be a permutation of the atom indices")
     d = dictionary.columns
     gram = dictionary.gram
     n = dictionary.n_sensors
-    residual = y_bar - d @ posteriors.z_mean()
+    w = posteriors.z_mean()
+    residual = y_bar - d @ w
     c = np.conj(np.conj(residual) @ d)  # D^H r without copying D^H
     spike = posteriors.spike_prob.tolist()
     mean = posteriors.cond_mean.tolist()
@@ -125,7 +123,7 @@ def sweep_atoms(y_bar, posteriors, dictionary, prior, noise_var, order):
     occupancy = prior.occupancy.tolist()
     sigma_x_sq = float(prior.sigma_x_sq)
     noise_var = float(noise_var)
-    for i in order.tolist():
+    for i in sweep_order(w).tolist():
         old = spike[i] * mean[i]
         s, mu, v = _atom_update(c.item(i) + n * old, n, occupancy[i],
                                 sigma_x_sq, noise_var)
@@ -136,15 +134,11 @@ def sweep_atoms(y_bar, posteriors, dictionary, prior, noise_var, order):
                                 cond_var=np.array(var, dtype=float))
 
 
-def sweep_order(z_means, scheme):
-    """Atom visitation order: 'energy' descends by current |<z_i>| with
-    index tie-break, 'index' is plain ascending."""
+def sweep_order(z_means):
+    """Atom visitation order of sweep_atoms: descending |<z_i>|, ties
+    broken toward the lower index."""
     m = z_means.shape[0]
-    if scheme == "index":
-        return np.arange(m)
-    if scheme == "energy":
-        return np.lexsort((np.arange(m), -np.abs(z_means)))
-    raise ValueError("unknown sweep order %r" % (scheme,))
+    return np.lexsort((np.arange(m), -np.abs(z_means)))
 
 
 def estimate_noise_variance(y, y_bar, posteriors, fitted):

@@ -48,11 +48,9 @@ SCHEMA = {
     "max_iterations": (int, "outer iteration cap"),
     "convergence_tol": (float, "relative change of D<z> that counts as "
                         "converged"),
-    "estimate_noise": (_parse_bool, "re-estimate sigma^2 each iteration"),
     "initial_noise_var": (_parse_optional_float,
                           "starting sigma^2, 'auto' scales from the data"),
     "relax_iterations": (int, "leading iterations with occupancy clamped to 1"),
-    "order": (str, "atom sweep order: energy or index"),
     "k_values": (_list_of(int), "source counts swept"),
     "noise_grid": (_list_of(float), "sigma^2 grid, comma separated"),
     "n_trials": (int, "Monte Carlo trials per cell"),

@@ -3,8 +3,8 @@ baseline with a flat phase prior, and conventional beamforming.
 
 All three VBEM variants share one loop. Per outer iteration: (a) update
 q(theta) from the current fitted signal D<z> (compute_eta, smooth), (b)
-form the phase-corrected ybar and sweep every atom, (c) optionally
-re-estimate the noise variance. The loop stops once the fitted signal
+form the phase-corrected ybar and sweep every atom, (c) re-estimate
+the noise variance (the M-step). The loop stops once the fitted signal
 settles relative to its own size. The variants differ in two switches
 (_VBEM): the relaxed variant clamps every occupancy to 1; the prVBEM
 baseline additionally drops the Markov phase prior.
@@ -33,10 +33,8 @@ class EstimatorConfig:
                                     # iteration; over 100x below the relative
                                     # noise amplitude sqrt(sigma^2/power) of
                                     # the quietest protocol cell (about 0.02)
-    estimate_noise: bool = True
     relax_iterations: int = 25      # occupancy clamped to 1 for this many
                                     # leading iterations (homotopy warm start)
-    order: str = "energy"           # atom sweep order, 'energy' or 'index'
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -45,8 +43,6 @@ class EstimatorConfig:
             raise ValueError("convergence_tol must be positive")
         if self.relax_iterations < 0:
             raise ValueError("relax_iterations must be >= 0")
-        if self.order not in ("energy", "index"):
-            raise ValueError("order must be 'energy' or 'index'")
 
 
 @dataclass
@@ -135,16 +131,13 @@ def _vbem(y, dictionary, phase_model, prior, sparse, config, trace, noise_var):
             phase_post = ph.smooth(pseudo, phase_model)
         y_bar = coef.phase_corrected_observation(y, phase_post)
 
-        order = coef.sweep_order(w, config.order)
         post = coef.sweep_atoms(y_bar, post, dictionary,
                                 clamped if warm or not sparse else prior,
-                                noise_var, order)
+                                noise_var)
         w = post.z_mean()
         u_new = dictionary.columns @ w
-
-        if config.estimate_noise:
-            value = coef.estimate_noise_variance(y, y_bar, post, u_new)
-            noise_var = max(value, floor, tiny)
+        value = coef.estimate_noise_variance(y, y_bar, post, u_new)
+        noise_var = max(value, floor, tiny)
 
         delta = _relative_change(u_new, u)
         u = u_new

@@ -85,7 +85,6 @@ class SweepResult:
     tables: dict        # k -> ndarray, column 0 sigma^2, then one per algorithm
     failed_counts: dict  # k -> ndarray (n_noise, n_algorithms)
     paths: dict         # k -> written .dat path
-    algorithms: tuple
 
 
 def normalized_correlation(z, z_hat):
@@ -207,5 +206,4 @@ def run_sweep(config, progress=None, write=True):
             path = os.path.join(config.output_dir, "corr_vs_noise_k%d.dat" % k)
             write_dat(table, path, ("sigma_sq",) + tuple(config.algorithms))
             paths[k] = path
-    return SweepResult(tables=tables, failed_counts=failed_counts,
-                       paths=paths, algorithms=tuple(config.algorithms))
+    return SweepResult(tables=tables, failed_counts=failed_counts, paths=paths)

@@ -210,6 +210,36 @@ def test_invalid_setting_is_usage_error(tmp_path, capsys, command, setting,
     assert "config error: " + reason in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, setting", [
+    ("estimate", "--order index"),
+    ("sweep", "--order index"),
+    ("estimate", "--seed 3"),
+    ("estimate", "--output-dir x"),
+    ("sweep", "--set order=index"),
+    ("estimate", "--set estimate_noise=0"),
+])
+def test_removed_or_unread_setting_is_usage_error(tmp_path, capsys, command,
+                                                  setting):
+    if command == "estimate":
+        obs, _ = _simulate(tmp_path)
+        args = ["estimate", obs]
+    else:
+        args = (["sweep", "--output-dir", str(tmp_path), "--trials", "1",
+                 "--variant", "beamforming", "--set", "k_values=1",
+                 "--set", "noise_grid=0.1"])
+    capsys.readouterr()
+    try:
+        code = main(args + SMALL + setting.split())
+    except SystemExit as exc:  # argparse rejects an unknown flag
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    if setting.startswith("--set"):
+        assert "config error: unknown config key" in err
+    else:
+        assert "unrecognized arguments: " + setting in err
+
+
 @pytest.mark.parametrize("command, flag, setting", [
     ("estimate", ["--noise-var", "0.02"], "initial_noise_var=0.02"),
     ("sweep", ["--k", "2"], "k_values=2"),

@@ -88,15 +88,6 @@ def test_variant_collapse_flat_phase():
     assert a.iterations_used == b.iterations_used
 
 
-def test_fixed_noise_variance_is_kept():
-    rng = np.random.default_rng(11)
-    d, prior, _, y = _instance(rng)
-    config = EstimatorConfig(estimate_noise=False)
-    est = run_estimator("pavbem", y, d, MODEL, prior, config,
-                        noise_var=0.123)
-    assert est.final_noise_var == 0.123
-
-
 def test_iteration_cap():
     rng = np.random.default_rng(12)
     d, prior, _, y = _instance(rng)
@@ -178,8 +169,6 @@ def test_config_validation():
         EstimatorConfig(convergence_tol=0.0)
     with pytest.raises(ValueError):
         EstimatorConfig(relax_iterations=-1)
-    with pytest.raises(ValueError):
-        EstimatorConfig(order="psychic")
 
 
 def test_initial_noise_var_validation():

@@ -49,8 +49,7 @@ def _calls():
         calls += [("estimate-%s" % v, est),
                   ("estimate-%s-noise-var" % v, est + ["--noise-var", "0.02"]),
                   ("estimate-%s-set-initial" % v,
-                   est + ["--set", "initial_noise_var=0.02"]),
-                  ("estimate-%s-order-index" % v, est + ["--order", "index"])]
+                   est + ["--set", "initial_noise_var=0.02"])]
     for v in ("pavbem", "prvbem"):
         calls.append(("estimate-%s-diagnostics" % v,
                       ["estimate", SMALL_OBS, "--variant", v, "--k", "2",
@@ -61,9 +60,7 @@ def _calls():
                                 ("noise-var", ["--noise-var", "0.05"],
                                  "noise_grid=0.05"),
                                 ("variant", ["--variant", "prvbem"],
-                                 "algorithms=prvbem"),
-                                ("order", ["--order", "index"],
-                                 "order=index")):
+                                 "algorithms=prvbem")):
         calls += [("sweep-flag-%s" % name, SWEEP + flag),
                   ("sweep-set-%s" % name, SWEEP + ["--set", setting])]
     calls += [("sweep-flag-k-list", SWEEP + ["--k", "1,2"]),
@@ -101,6 +98,13 @@ def _calls():
         ("reject-estimate-missing-file", ["estimate", "missing.txt"] + SMALL),
         ("reject-unknown-key", small_est + ["--set", "grid_sizes=9"]),
         ("reject-bad-assignment", small_est + ["--set", "grid_size"]),
+        ("reject-estimate-order", small_est + ["--order", "index"]),
+        ("reject-sweep-order", SWEEP + ["--order", "index"]),
+        ("reject-estimate-seed", small_est + ["--seed", "3"]),
+        ("reject-estimate-output-dir", small_est + ["--output-dir", "."]),
+        ("reject-set-order", small_est + ["--set", "order=index"]),
+        ("reject-set-estimate-noise",
+         small_est + ["--set", "estimate_noise=0"]),
         ("ignored-estimate-set-noise-var",
          small_est + ["--set", "noise_var=0.02"]),
         ("ignored-sweep-set-k", SWEEP + ["--set", "k=1"]),

@@ -99,13 +99,14 @@ def update_atom(i, y_bar, posteriors, dictionary, prior, noise_var):
     return out
 
 
-def sweep_atoms(y_bar, posteriors, dictionary, prior, noise_var):
+def sweep_atoms(y_bar, posteriors, dictionary, prior, noise_var, fitted):
     """One Gauss-Seidel pass over all atoms, in sweep_order of the current
     <z>: the atoms that carry the most energy are updated first.
 
-    Tracks c = D^H r, every atom's correlation with the residual
-    r = ybar - D<z>. Atom i sees d_i^H r_i = c_i + N <z_i>, and moving
-    <z_i> by delta moves c by -delta * D^H d_i, row i of the cached
+    fitted is the signal D<z> of the input posterior, which the caller
+    already holds. Tracks c = D^H r, every atom's correlation with the
+    residual r = ybar - D<z>. Atom i sees d_i^H r_i = c_i + N <z_i>, and
+    moving <z_i> by delta moves c by -delta * D^H d_i, row i of the cached
     dictionary.gram. One O(NM) product per sweep, then O(M) per atom.
     The input posterior is left unchanged.
     """
@@ -115,7 +116,7 @@ def sweep_atoms(y_bar, posteriors, dictionary, prior, noise_var):
     gram = dictionary.gram
     n = dictionary.n_sensors
     w = posteriors.z_mean()
-    residual = y_bar - d @ w
+    residual = y_bar - fitted
     c = np.conj(np.conj(residual) @ d)  # D^H r without copying D^H
     spike = posteriors.spike_prob.tolist()
     mean = posteriors.cond_mean.tolist()

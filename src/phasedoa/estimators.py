@@ -17,6 +17,7 @@ import numpy as np
 
 from . import coefficients as coef
 from . import phase as ph
+from .blas import one_blas_thread
 from .model import BernoulliGaussianPrior
 
 # every estimator, in the column order of the sweep tables
@@ -133,7 +134,7 @@ def _vbem(y, dictionary, phase_model, prior, sparse, config, trace, noise_var):
 
         post = coef.sweep_atoms(y_bar, post, dictionary,
                                 clamped if warm or not sparse else prior,
-                                noise_var)
+                                noise_var, u)
         w = post.z_mean()
         u_new = dictionary.columns @ w
         value = coef.estimate_noise_variance(y, y_bar, post, u_new)
@@ -171,6 +172,7 @@ def _relative_change(new, old):
     return math.inf if change else 0.0
 
 
+@one_blas_thread()
 def run_estimator(variant, y, dictionary, phase_model, prior, config=None,
                   trace=None, noise_var=None):
     """Run the estimator ``variant`` (one of VARIANTS) on the observation y.
@@ -191,6 +193,9 @@ def run_estimator(variant, y, dictionary, phase_model, prior, config=None,
     the fitted signal relative to its size, max|D<z>_new - D<z>_old| /
     max|D<z>_new|; the run stops once it falls below convergence_tol after
     the warm-up.
+
+    Every product runs on one BLAS thread (blas.one_blas_thread), so the
+    estimate does not depend on the BLAS thread count.
     """
     if variant == "beamforming":
         return beamforming(y, dictionary)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .estimators import VARIANTS, EstimatorConfig, run_estimator
 from .io import write_dat
 from .model import (BernoulliGaussianPrior, PhaseMarkovModel,
@@ -116,9 +117,10 @@ def make_problem(config, k):
     return dictionary, model, prior
 
 
+@one_blas_thread()
 def draw_trial(config, k, noise_var, rng):
     """make_problem plus one draw from it: (dictionary, model, prior,
-    truth, y)."""
+    truth, y). The synthesis D z runs on one BLAS thread."""
     dictionary, model, prior = make_problem(config, k)
     truth = sample_ground_truth(prior, k, rng)
     if config.phase_noise:

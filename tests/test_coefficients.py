@@ -102,7 +102,8 @@ def test_sweep_matches_naive_sequential_updates():
     for _ in range(2):
         d, prior, y_bar, post = _random_setup(rng)
         order = sweep_order(post.z_mean())
-        swept = sweep_atoms(y_bar, post, d, prior, 0.1)
+        swept = sweep_atoms(y_bar, post, d, prior, 0.1,
+                            d.columns @ post.z_mean())
         naive = post
         for i in order:
             naive = update_atom(int(i), y_bar, naive, d, prior, 0.1)
@@ -135,7 +136,8 @@ def test_sweep_matches_update_chain_on_protocol_dictionary():
     assert np.sum(duplicated) > 50  # some off-diagonal pair coincides
     for noise_var in (0.01, 1.0):
         order = sweep_order(post.z_mean())
-        swept = sweep_atoms(y_bar, post, d, prior, noise_var)
+        swept = sweep_atoms(y_bar, post, d, prior, noise_var,
+                            d.columns @ post.z_mean())
         naive = post
         for i in order:
             naive = update_atom(int(i), y_bar, naive, d, prior, noise_var)
@@ -152,7 +154,7 @@ def test_sweep_leaves_input_unchanged():
     d, prior, y_bar, post = _protocol_setup(rng)
     before = post.copy()
     y_before = y_bar.copy()
-    sweep_atoms(y_bar, post, d, prior, 0.1)
+    sweep_atoms(y_bar, post, d, prior, 0.1, d.columns @ post.z_mean())
     np.testing.assert_array_equal(post.spike_prob, before.spike_prob)
     np.testing.assert_array_equal(post.cond_mean, before.cond_mean)
     np.testing.assert_array_equal(post.cond_var, before.cond_var)
@@ -206,7 +208,8 @@ def test_sweep_on_zero_data_shrinks():
     d, prior, _, _ = _random_setup(rng)
     zero = np.zeros(32, dtype=complex)
     post = initial_posterior(zero, d, prior)
-    out = sweep_atoms(zero, post, d, prior, 0.1)
+    out = sweep_atoms(zero, post, d, prior, 0.1,
+                      d.columns @ post.z_mean())
     np.testing.assert_array_equal(out.cond_mean, np.zeros(8))
     # without evidence the occupancy posterior drops below the prior
     assert np.all(out.spike_prob < prior.occupancy)
@@ -215,7 +218,8 @@ def test_sweep_on_zero_data_shrinks():
 def test_sweep_single_atom_equals_update():
     rng = np.random.default_rng(3)
     d, prior, y_bar, post = _random_setup(rng, m=1)
-    swept = sweep_atoms(y_bar, post, d, prior, 0.2)
+    swept = sweep_atoms(y_bar, post, d, prior, 0.2,
+                        d.columns @ post.z_mean())
     direct = update_atom(0, y_bar, post, d, prior, 0.2)
     np.testing.assert_allclose(swept.cond_mean, direct.cond_mean, rtol=1e-12)
     np.testing.assert_allclose(swept.spike_prob, direct.spike_prob, rtol=1e-12)
@@ -225,7 +229,8 @@ def test_sweep_validation():
     rng = np.random.default_rng(4)
     d, prior, y_bar, post = _random_setup(rng)
     with pytest.raises(ValueError):
-        sweep_atoms(y_bar, post, d, prior, -0.1)
+        sweep_atoms(y_bar, post, d, prior, -0.1,
+                    d.columns @ post.z_mean())
 
 
 def test_sweep_order():

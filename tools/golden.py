@@ -11,8 +11,7 @@ records that checkout. Two records are compared with ``diff`` (the JSON is
 written one entry per line, in run order); a refactoring that should keep
 behaviour shows no lines but the ones it means to change.
 
-Outputs are byte-stable when BLAS runs on one thread
-(``OPENBLAS_NUM_THREADS=1``). The whole list takes well under a minute.
+The whole list takes well under a minute.
 """
 
 import contextlib

@@ -22,9 +22,10 @@ _saved = []   # (setter, value it returned) from the first to enter
 @functools.cache
 def _setters():
     """openblas_set_num_threads_local of every OpenBLAS loaded in the
-    process (numpy and scipy each bring their own), found once through
-    /proc/self/maps. Empty where there is no maps file, no OpenBLAS or no
-    such symbol."""
+    process, found through /proc/self/maps on the first call and kept.
+    phasedoa itself loads only numpy's; one that the host program loads
+    later (scipy brings its own) is not in the list. Empty where there is
+    no maps file, no OpenBLAS or no such symbol."""
     try:
         with open("/proc/self/maps") as maps:
             # a line that names a file ends with its path, the 6th field

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 runtime or I/O failure, 2 usage error.
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -19,7 +20,10 @@ from .harness import (SweepConfig, draw_trial, make_problem, run_sweep,
                       trial_rng)
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, and building it costs about a millisecond."""
     epilog = "config keys (file or --set KEY=VALUE):\n" + "\n".join(
         cfg.help_lines())
     parser = argparse.ArgumentParser(

@@ -1,6 +1,10 @@
 """End-to-end tests of the command line interface (exit codes, files)."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from phasedoa.io import (load_ground_truth, load_observation,
                          save_observation)
 
 SMALL = ["--set", "n_sensors=32", "--set", "grid_size=8"]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _simulate(tmp_path, *extra):
@@ -76,6 +81,14 @@ def test_bad_set_assignment_is_usage_error(tmp_path, capsys):
     assert "KEY=VALUE" in capsys.readouterr().err
 
 
+def test_settings_do_not_carry_over_between_calls(tmp_path, capsys):
+    # the parser is built once per process and serves every call
+    args = ["simulate", "--output-dir", str(tmp_path / "a")] + SMALL
+    assert main(args + ["--set", "n_trials=0"]) == 2
+    assert "n_trials must be >= 1" in capsys.readouterr().err
+    _simulate(tmp_path / "b")
+
+
 def test_unknown_config_key_named(tmp_path, capsys):
     assert main(["simulate", "--output-dir", str(tmp_path),
                  "--set", "grid_sizes=9"]) == 2
@@ -110,6 +123,25 @@ def test_estimate_recovers_planted_angle(tmp_path, capsys):
     match = re.search(r"^\s+(\d+)\s+[+-]", out, re.MULTILINE)
     assert match is not None
     assert int(match.group(1)) == planted
+
+
+def test_estimate_loads_no_scipy(tmp_path):
+    # a fresh interpreter: import the command line, run one estimate, then
+    # list the scipy modules loaded on the way
+    obs, _ = _simulate(tmp_path)
+    code = ("import sys\n"
+            "from phasedoa.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+            "'scipy'))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", code, "estimate", obs,
+                          "--k", "2"] + SMALL, env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert "iterations:" in out
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_estimate_missing_file(tmp_path, capsys):

@@ -4,6 +4,8 @@ The smoother is checked against a dense information-form solve, which is the
 reference the Kalman/RTS recursion must reproduce.
 """
 
+import decimal
+
 import numpy as np
 import pytest
 
@@ -15,18 +17,47 @@ from phasedoa.phase import (PseudoObservations, bessel_ratio, circular_moment,
 
 
 def _series_ratio(x):
-    """Power-series I_1(x)/I_0(x), the oracle route (no scipy.special)."""
-    q = x * x / 4.0
-    s0, t0 = 1.0, 1.0
-    s1, t1 = 1.0, 1.0
-    for k in range(1, 400):
-        t0 *= q / (k * k)
-        t1 *= q / (k * (k + 1))
-        s0 += t0
-        s1 += t1
-        if t0 < 1e-19 * s0 and t1 < 1e-19 * s1:
-            break
-    return (x / 2.0) * s1 / s0
+    """Power-series I_1(x)/I_0(x), the oracle route (no scipy.special).
+
+    Summed in 40-digit decimal arithmetic, so the double it returns is
+    correctly rounded; it takes about x terms, so keep x to a few thousand.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        tiny = decimal.Decimal("1e-38")
+        x = decimal.Decimal(float(x))
+        q = x * x / 4
+        s0 = t0 = s1 = t1 = decimal.Decimal(1)
+        k = 0
+        while t0 >= tiny * s0 or t1 >= tiny * s1:
+            k += 1
+            t0 *= q / (k * k)
+            t1 *= q / (k * (k + 1))
+            s0 += t0
+            s1 += t1
+        return float(x / 2 * s1 / s0)
+
+
+# bessel_ratio's table: u = x/(x + 8) picks cell floor(256u), so the join
+# of cells i-1 and i lies at x = 8i/(256 - i), up to the rounding of u
+_JOINS = 8.0 * np.arange(1, 256) / (256 - np.arange(1, 256))
+
+
+def _cell_joins():
+    """The two neighbouring doubles at every join between the cells of
+    bessel_ratio's table: the last of cell i-1 and the first of cell i.
+    The rounding of u moves them up to a few hundred ulps of x away from
+    _JOINS."""
+    i = np.arange(1, 256)
+    # the doubles within 600 ulps of each nominal join, one row per join
+    x = (_JOINS.view(np.int64)[:, None] + np.arange(-600, 601)).view(float)
+    cell = np.floor(x / (x + 8.0) * 256)
+    first = np.argmax(cell >= i[:, None], axis=1)
+    rows = np.arange(i.size)
+    below, above = x[rows, first - 1], x[rows, first]
+    assert np.all(cell[rows, first - 1] == i - 1)
+    assert np.all(cell[rows, first] == i)
+    return below, above
 
 
 def _dense_posterior(model, pseudo):
@@ -200,6 +231,13 @@ class TestSmoother:
         np.testing.assert_allclose(post.marginal_variances, [1.0 / 3.25])
         np.testing.assert_allclose(post.means, [3.0 / 3.25])
 
+    def test_empty_chain(self):
+        model = PhaseMarkovModel(a=0.8, sigma_theta_sq=1.0, sigma_1_sq=4.0)
+        post = smooth(PseudoObservations(values=np.zeros(0),
+                                         precisions=np.zeros(0)), model)
+        assert post.means.shape == post.marginal_variances.shape == (0,)
+        assert post.circular_moments.shape == (0,)
+
     def test_rejects_nonfinite_values(self):
         model = PhaseMarkovModel(a=0.8, sigma_theta_sq=1.0, sigma_1_sq=1.0)
         pseudo = PseudoObservations(values=np.array([0.0, np.nan]),
@@ -236,6 +274,11 @@ class TestBesselRatio:
         assert bessel_ratio(0.0) == 0.0
         assert bessel_ratio(1e8) >= 1.0 - 1e-7
         assert bessel_ratio(1e8) <= 1.0
+        # A(x) = x/2 - x^3/16 + ... and A(x) = 1 - 1/(2x) - 1/(8x^2) - ...
+        np.testing.assert_allclose(bessel_ratio(1e-300), 5e-301, rtol=1e-15)
+        np.testing.assert_allclose(bessel_ratio(1e8), 1.0 - 0.5e-8,
+                                   rtol=1e-15)
+        assert bessel_ratio(1e300) == 1.0
 
     def test_known_values_from_series(self):
         # frozen from the power-series oracle above
@@ -250,13 +293,36 @@ class TestBesselRatio:
         for x in np.linspace(0.0, 50.0, 101):
             np.testing.assert_allclose(bessel_ratio(float(x)),
                                        _series_ratio(float(x)), atol=1e-10)
+        # a dense log grid up to the last join, every join and both of its
+        # neighbouring doubles
+        below, above = _cell_joins()
+        x = np.concatenate([[0.0], np.logspace(-300, np.log10(2100), 700),
+                            _JOINS, below, above])
+        np.testing.assert_allclose(bessel_ratio(x),
+                                   [_series_ratio(v) for v in x], rtol=1e-14)
 
     def test_monotone_and_bounded(self):
-        x = np.logspace(-3, 8, 400)
+        x = np.sort(np.concatenate([np.logspace(-3, 8, 400), _JOINS,
+                                    _JOINS * (1 - 1e-9), _JOINS * (1 + 1e-9)]))
         r = bessel_ratio(x)
         assert np.all(np.isfinite(r))
         assert np.all(np.diff(r) > 0)
         assert np.all((r >= 0) & (r < 1))
+        assert np.all(bessel_ratio(np.logspace(8, 308, 301)) <= 1)
+        # no step at a join between cells beyond a few ulps
+        below, above = _cell_joins()
+        step = bessel_ratio(above) - bessel_ratio(below)
+        assert np.all(np.abs(step) <= 4 * np.spacing(bessel_ratio(below)))
+
+    def test_return_types(self):
+        assert type(bessel_ratio(0.5)) is float
+        assert type(bessel_ratio(2)) is float
+        assert type(bessel_ratio(np.float64(0.5))) is float
+        assert type(bessel_ratio(np.array(0.5))) is float
+        for shape in ((0,), (3,), (2, 3)):
+            out = bessel_ratio(np.full(shape, 0.5))
+            assert type(out) is np.ndarray
+            assert out.shape == shape and out.dtype == np.float64
 
     def test_validation(self):
         with pytest.raises(ValueError):

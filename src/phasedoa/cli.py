@@ -149,8 +149,9 @@ def _cmd_estimate(args):
     config = _sweep_config(values, k_values=(k,), algorithms=(variant,))
     dictionary, model, prior = make_problem(config, k)
     trace = _diagnostics_writer(args.diagnostics) if args.diagnostics else None
-    est = run_estimator(variant, y, dictionary, model, prior, config, trace,
-                        values["initial_noise_var"])
+    est = run_estimator(variant, y, dictionary, model, prior,
+                        max_iterations=config.max_iterations, trace=trace,
+                        noise_var=values["initial_noise_var"])
 
     idx, angles = extract_support(est, k, dictionary.angles)
     print("variant: %s" % variant)
@@ -169,16 +170,15 @@ def _cmd_estimate(args):
 def _cmd_sweep(args):
     sweep = _sweep_config(_load_values(args))
     os.makedirs(sweep.output_dir, exist_ok=True)
-
-    def progress(k, noise_var, means, fails):
-        cells = " ".join("%s=%.4f" % (a, v)
-                         for a, v in zip(sweep.algorithms, means))
-        line = "k=%d sigma2=%.3g %s" % (k, noise_var, cells)
-        if fails.any():
-            line += "  failed: " + "/".join(str(f) for f in fails)
-        print(line)
-
-    result = run_sweep(sweep, progress=progress)
+    result = run_sweep(sweep)
+    for k, table in result.tables.items():
+        for row, fails in zip(table, result.failed_counts[k]):
+            cells = " ".join("%s=%.4f" % (a, v)
+                             for a, v in zip(sweep.algorithms, row[1:]))
+            line = "k=%d sigma2=%.3g %s" % (k, row[0], cells)
+            if fails.any():
+                line += "  failed: " + "/".join(str(f) for f in fails)
+            print(line)
     for k, path in result.paths.items():
         print("wrote %s" % path)
     for k, fails in result.failed_counts.items():

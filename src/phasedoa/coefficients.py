@@ -20,11 +20,6 @@ class CoefficientPosterior:
     def z_mean(self):
         return self.spike_prob * self.cond_mean
 
-    def copy(self):
-        return CoefficientPosterior(self.spike_prob.copy(),
-                                    self.cond_mean.copy(),
-                                    self.cond_var.copy())
-
 
 def initial_posterior(y, dictionary, prior):
     """Beamforming warm start: cond_mean = (1/N) d_i^H y, spike = p_i."""
@@ -76,27 +71,6 @@ def _atom_update(dhr, dd, p_i, sigma_x_sq, noise_var):
             e = math.exp(log_odds)
             spike = e / (1.0 + e)
     return spike, cond_mean, cond_var
-
-
-def update_atom(i, y_bar, posteriors, dictionary, prior, noise_var):
-    """Recompute the factor of atom i against the residual left by all
-    other atoms, r_i = ybar - sum_{k != i} <z_k> d_k. Returns a new
-    CoefficientPosterior with entry i replaced."""
-    if noise_var <= 0:
-        raise ValueError("noise_var must be positive")
-    d = dictionary.columns
-    w = posteriors.z_mean()
-    w[i] = 0.0
-    residual = y_bar - d @ w
-    dhr = np.vdot(d[:, i], residual)
-    dd = dictionary.n_sensors  # d_i^H d_i = N for unit-modulus columns
-    spike, mean, var = _atom_update(dhr, dd, prior.occupancy[i],
-                                    prior.sigma_x_sq, noise_var)
-    out = posteriors.copy()
-    out.spike_prob[i] = spike
-    out.cond_mean[i] = mean
-    out.cond_var[i] = var
-    return out
 
 
 def sweep_atoms(y_bar, posteriors, dictionary, prior, noise_var, fitted):

@@ -46,11 +46,8 @@ SCHEMA = {
     "phase_noise": (_parse_bool, "synthesize with phase noise"),
     "variant": (str, "estimator: pavbem, pavbem_relaxed, prvbem, beamforming"),
     "max_iterations": (int, "outer iteration cap"),
-    "convergence_tol": (float, "relative change of D<z> that counts as "
-                        "converged"),
     "initial_noise_var": (_parse_optional_float,
                           "starting sigma^2, 'auto' scales from the data"),
-    "relax_iterations": (int, "leading iterations with occupancy clamped to 1"),
     "k_values": (_list_of(int), "source counts swept"),
     "noise_grid": (_list_of(float), "sigma^2 grid, comma separated"),
     "n_trials": (int, "Monte Carlo trials per cell"),

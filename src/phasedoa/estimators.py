@@ -25,25 +25,13 @@ VARIANTS = ("beamforming", "prvbem", "pavbem_relaxed", "pavbem")
 # VBEM variant -> (Markov phase prior kept, Bernoulli-Gaussian occupancy used)
 _VBEM = {"prvbem": (False, False), "pavbem_relaxed": (True, False),
          "pavbem": (True, True)}
-
-
-@dataclass
-class EstimatorConfig:
-    max_iterations: int = 200
-    convergence_tol: float = 1e-4   # max|D<z> change| / max|D<z>| per outer
-                                    # iteration; over 100x below the relative
-                                    # noise amplitude sqrt(sigma^2/power) of
-                                    # the quietest protocol cell (about 0.02)
-    relax_iterations: int = 25      # occupancy clamped to 1 for this many
-                                    # leading iterations (homotopy warm start)
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be positive")
-        if self.relax_iterations < 0:
-            raise ValueError("relax_iterations must be >= 0")
+MAX_ITERATIONS = 200  # outer iteration cap, run_estimator's default
+CONVERGENCE_TOL = 1e-4  # max|D<z> change| / max|D<z>| per outer iteration;
+                        # over 100x below the relative noise amplitude
+                        # sqrt(sigma^2/power) of the quietest protocol cell
+                        # (about 0.02)
+RELAX_ITERATIONS = 25   # occupancy clamped to 1 for this many leading
+                        # iterations (homotopy warm start)
 
 
 @dataclass
@@ -92,7 +80,8 @@ def extract_support(estimate, k, angles=None):
     return idx, np.asarray(angles)[idx]
 
 
-def _vbem(y, dictionary, phase_model, prior, sparse, config, trace, noise_var):
+def _vbem(y, dictionary, phase_model, prior, sparse, max_iterations, trace,
+          noise_var):
     y = _observation(y, dictionary)
     n = dictionary.n_sensors
     m = dictionary.columns.shape[1]
@@ -113,16 +102,15 @@ def _vbem(y, dictionary, phase_model, prior, sparse, config, trace, noise_var):
     # full beamforming energy rather than the p-scaled one
     clamped = BernoulliGaussianPrior(sigma_x_sq=prior.sigma_x_sq,
                                      occupancy=np.ones(m))
-    warm = config.relax_iterations > 0
-    if warm or not sparse:
-        post.spike_prob[:] = 1.0
+    post.spike_prob[:] = 1.0
+    warm = True
     w = post.z_mean()
     u = dictionary.columns @ w  # the fitted signal D<z>
 
     phase_post = None
     converged = False
     iterations = 0
-    for t in range(1, config.max_iterations + 1):
+    for t in range(1, max_iterations + 1):
         iterations = t
         eta = ph.compute_eta(y, u)
         pseudo = ph.pseudo_observations(eta, noise_var)
@@ -148,9 +136,9 @@ def _vbem(y, dictionary, phase_model, prior, sparse, config, trace, noise_var):
                       "phase_means": phase_post.means,
                       "phase_variances": phase_post.marginal_variances})
         if warm:
-            if delta < config.convergence_tol or t >= config.relax_iterations:
+            if delta < CONVERGENCE_TOL or t >= RELAX_ITERATIONS:
                 warm = False  # hand over to the sparse updates
-        elif delta < config.convergence_tol:
+        elif delta < CONVERGENCE_TOL:
             converged = True
             break
 
@@ -173,8 +161,8 @@ def _relative_change(new, old):
 
 
 @one_blas_thread()
-def run_estimator(variant, y, dictionary, phase_model, prior, config=None,
-                  trace=None, noise_var=None):
+def run_estimator(variant, y, dictionary, phase_model, prior,
+                  max_iterations=MAX_ITERATIONS, trace=None, noise_var=None):
     """Run the estimator ``variant`` (one of VARIANTS) on the observation y.
 
     - pavbem: the full phase-aware VBEM with the Bernoulli-Gaussian prior.
@@ -186,13 +174,15 @@ def run_estimator(variant, y, dictionary, phase_model, prior, config=None,
       the other variants too.
     - beamforming: the matched filter; y and dictionary alone are used.
 
+    max_iterations (>= 1) caps the outer iterations of a VBEM variant.
     noise_var is the starting sigma^2; None starts from 0.01 * mean |y_n|^2.
     trace, if given, is called after every outer iteration as
     trace(iteration, info) with info holding noise_var, delta, spike_sum,
     phase_means and phase_variances. delta is the iteration's change of
     the fitted signal relative to its size, max|D<z>_new - D<z>_old| /
-    max|D<z>_new|; the run stops once it falls below convergence_tol after
-    the warm-up.
+    max|D<z>_new|. The first RELAX_ITERATIONS iterations, or fewer if delta
+    falls below CONVERGENCE_TOL first, clamp every occupancy to 1 (the
+    warm-up); the run stops once delta falls below CONVERGENCE_TOL after it.
 
     Every product runs on one BLAS thread (blas.one_blas_thread), so the
     estimate does not depend on the BLAS thread count.
@@ -201,6 +191,8 @@ def run_estimator(variant, y, dictionary, phase_model, prior, config=None,
         return beamforming(y, dictionary)
     if variant not in _VBEM:
         raise ValueError("unknown variant %r" % (variant,))
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
     chain, sparse = _VBEM[variant]
     return _vbem(y, dictionary, phase_model if chain else None, prior, sparse,
-                 config or EstimatorConfig(), trace, noise_var)
+                 max_iterations, trace, noise_var)

@@ -8,13 +8,12 @@ sweep gives byte-identical output no matter how many workers run it.
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .blas import one_blas_thread
-from .estimators import VARIANTS, EstimatorConfig, run_estimator
+from .estimators import MAX_ITERATIONS, VARIANTS, run_estimator
 from .io import write_dat
 from .model import (BernoulliGaussianPrior, PhaseMarkovModel,
                     build_dictionary, default_angle_grid,
@@ -30,10 +29,10 @@ def default_noise_grid():
 
 
 @dataclass
-class SweepConfig(EstimatorConfig):
-    """A sweep's problem, grid and execution settings, plus the estimator
-    settings it inherits from EstimatorConfig."""
+class SweepConfig:
+    """A sweep's problem, grid, estimator and execution settings."""
 
+    max_iterations: int = MAX_ITERATIONS
     n_sensors: int = 256
     grid_size: int = 50
     spacing_ratio: float = 4.0
@@ -51,7 +50,8 @@ class SweepConfig(EstimatorConfig):
     output_dir: str = "."
 
     def __post_init__(self):
-        super().__post_init__()
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
         grid = np.asarray(self.noise_grid, dtype=float)
@@ -146,7 +146,8 @@ def run_trial(config, k_index, noise_index, trial_index):
     for alg in config.algorithms:
         start = time.perf_counter()
         try:
-            est = run_estimator(alg, y, dictionary, model, prior, config,
+            est = run_estimator(alg, y, dictionary, model, prior,
+                                max_iterations=config.max_iterations,
                                 noise_var=noise_var)
             if not np.all(np.isfinite(est.z_hat)):
                 raise FloatingPointError("non-finite estimate")
@@ -169,7 +170,7 @@ def _trial_task(args):
     return run_trial(*args)
 
 
-def run_sweep(config, progress=None, write=True):
+def run_sweep(config):
     """Run every (k, sigma^2, trial) cell and write one table per k.
 
     The pool returns trials in task order whatever the execution order
@@ -180,6 +181,9 @@ def run_sweep(config, progress=None, write=True):
              for ni in range(len(config.noise_grid))
              for t in range(config.n_trials)]
     if config.workers > 1:
+        # imported here, so that simulate and estimate, which never start a
+        # pool, do not pay its 10-20 ms import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             records = list(pool.map(_trial_task, tasks, chunksize=1))
     else:
@@ -198,14 +202,9 @@ def run_sweep(config, progress=None, write=True):
     tables, failed_counts, paths = {}, {}, {}
     for ki, k in enumerate(config.k_values):
         table = np.column_stack([grid, means[:, ki].T])
-        fails = failed[:, ki].sum(-1).T
-        if progress is not None:
-            for ni, noise_var in enumerate(grid):
-                progress(k, noise_var, table[ni, 1:], fails[ni])
         tables[k] = table
-        failed_counts[k] = fails
-        if write:
-            path = os.path.join(config.output_dir, "corr_vs_noise_k%d.dat" % k)
-            write_dat(table, path, ("sigma_sq",) + tuple(config.algorithms))
-            paths[k] = path
+        failed_counts[k] = failed[:, ki].sum(-1).T
+        path = os.path.join(config.output_dir, "corr_vs_noise_k%d.dat" % k)
+        write_dat(table, path, ("sigma_sq",) + tuple(config.algorithms))
+        paths[k] = path
     return SweepResult(tables=tables, failed_counts=failed_counts, paths=paths)

@@ -24,35 +24,6 @@ class PhasePosterior:
     circular_moments: np.ndarray  # <exp(j*theta_n)>
 
 
-def prior_precision(model, n):
-    """Tridiagonal prior precision of (theta_1, ..., theta_n), as its two
-    bands (diagonal, off_diagonal).
-
-    diagonal [1/s1 + a^2/st, (1+a^2)/st, ..., (1+a^2)/st, 1/st],
-    off-diagonal -a/st, with s1 = sigma_1_sq and st = sigma_theta_sq.
-    """
-    if n < 2:
-        raise ValueError("chain precision needs n >= 2")
-    st = model.sigma_theta_sq
-    a = model.a
-    diag = np.full(n, (1 + a * a) / st)
-    diag[0] = 1 / model.sigma_1_sq + a * a / st
-    diag[-1] = 1 / st
-    off = np.full(n - 1, -a / st)
-    return diag, off
-
-
-def prior_marginals(model, n):
-    """Marginal variances of the unconditioned chain: v_1 = sigma_1_sq,
-    v_k = a^2 v_{k-1} + sigma_theta_sq."""
-    v = np.empty(n)
-    v[0] = model.sigma_1_sq
-    a2 = model.a * model.a
-    for i in range(1, n):
-        v[i] = a2 * v[i - 1] + model.sigma_theta_sq
-    return v
-
-
 def compute_eta(y, fitted):
     """eta_n = y_n * conj(u_n) for the fitted signal u = D <z>; its argument
     and 2|eta|/sigma^2 act as the pseudo-observation and precision for the
@@ -69,10 +40,11 @@ def pseudo_observations(eta, noise_var):
 def smooth(pseudo, model):
     """Posterior means and marginal variances of the phase chain.
 
-    Information form: precision = prior_precision + diag(pseudo.precisions),
-    information vector = pseudo.precisions * pseudo.values. Realized as a
-    forward Kalman filter over theta_n = a*theta_{n-1} + w_n followed by an
-    RTS backward pass; a zero pseudo-precision contributes no update.
+    Information form: precision = the chain's tridiagonal prior precision
+    + diag(pseudo.precisions), information vector = pseudo.precisions *
+    pseudo.values. Realized as a forward Kalman filter over theta_n =
+    a*theta_{n-1} + w_n followed by an RTS backward pass; a zero
+    pseudo-precision contributes no update.
 
     The recursions run on Python floats (per-element numpy indexing costs
     more than the arithmetic); IEEE double arithmetic in the same order
@@ -203,7 +175,9 @@ def bessel_ratio(x):
     exactly; u rounds to 1 only where A(x) rounds to 1.
     """
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)) or np.any(x < 0):
+    # one test for NaN, inf and x < 0: min and max return a NaN they meet,
+    # which fails either comparison
+    if x.size and not (x.min() >= 0 and x.max() < np.inf):
         raise ValueError("bessel_ratio requires finite x >= 0")
     cells = _RATIO_TABLE.shape[1] - 1
     u = x / (x + 8.0)

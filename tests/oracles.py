@@ -1,0 +1,68 @@
+"""Reference implementations that the tests compare the fast paths against.
+
+None of them runs in the package: ``update_atom`` recomputes one atom's
+factor from the full residual, where ``coefficients.sweep_atoms`` keeps a
+running one; ``prior_precision`` and ``prior_marginals`` give the chain
+prior in the dense form that ``phase.smooth`` never builds.
+"""
+
+import numpy as np
+
+from phasedoa.coefficients import CoefficientPosterior, _atom_update
+
+
+def copy_posterior(posteriors):
+    """An independent copy of a CoefficientPosterior."""
+    return CoefficientPosterior(posteriors.spike_prob.copy(),
+                                posteriors.cond_mean.copy(),
+                                posteriors.cond_var.copy())
+
+
+def update_atom(i, y_bar, posteriors, dictionary, prior, noise_var):
+    """Recompute the factor of atom i against the residual left by all
+    other atoms, r_i = ybar - sum_{k != i} <z_k> d_k. Returns a new
+    CoefficientPosterior with entry i replaced."""
+    if noise_var <= 0:
+        raise ValueError("noise_var must be positive")
+    d = dictionary.columns
+    w = posteriors.z_mean()
+    w[i] = 0.0
+    residual = y_bar - d @ w
+    dhr = np.vdot(d[:, i], residual)
+    dd = dictionary.n_sensors  # d_i^H d_i = N for unit-modulus columns
+    spike, mean, var = _atom_update(dhr, dd, prior.occupancy[i],
+                                    prior.sigma_x_sq, noise_var)
+    out = copy_posterior(posteriors)
+    out.spike_prob[i] = spike
+    out.cond_mean[i] = mean
+    out.cond_var[i] = var
+    return out
+
+
+def prior_precision(model, n):
+    """Tridiagonal prior precision of (theta_1, ..., theta_n), as its two
+    bands (diagonal, off_diagonal).
+
+    diagonal [1/s1 + a^2/st, (1+a^2)/st, ..., (1+a^2)/st, 1/st],
+    off-diagonal -a/st, with s1 = sigma_1_sq and st = sigma_theta_sq.
+    """
+    if n < 2:
+        raise ValueError("chain precision needs n >= 2")
+    st = model.sigma_theta_sq
+    a = model.a
+    diag = np.full(n, (1 + a * a) / st)
+    diag[0] = 1 / model.sigma_1_sq + a * a / st
+    diag[-1] = 1 / st
+    off = np.full(n - 1, -a / st)
+    return diag, off
+
+
+def prior_marginals(model, n):
+    """Marginal variances of the unconditioned chain: v_1 = sigma_1_sq,
+    v_k = a^2 v_{k-1} + sigma_theta_sq."""
+    v = np.empty(n)
+    v[0] = model.sigma_1_sq
+    a2 = model.a * model.a
+    for i in range(1, n):
+        v[i] = a2 * v[i - 1] + model.sigma_theta_sq
+    return v

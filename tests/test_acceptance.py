@@ -12,16 +12,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from phasedoa.estimators import (EstimatorConfig, extract_support,
-                                 run_estimator)
+from phasedoa.estimators import extract_support, run_estimator
 from phasedoa.harness import (SweepConfig, normalized_correlation, run_sweep,
                               run_trial, trial_rng)
 from phasedoa.model import (BernoulliGaussianPrior, GroundTruth,
                             PhaseMarkovModel, build_dictionary,
                             default_angle_grid, synthesize_observation)
 from phasedoa.phase import (PseudoObservations, bessel_ratio, circular_moment,
-                            prior_precision, smooth)
+                            smooth)
 from phasedoa.coefficients import CoefficientPosterior, estimate_noise_variance
+
+from oracles import prior_precision
 
 PROTOCOL_MODEL = PhaseMarkovModel(a=0.8, sigma_theta_sq=1.0, sigma_1_sq=1e6)
 
@@ -36,19 +37,21 @@ def _verdict(ok):
 
 
 @pytest.fixture(scope="module")
-def figure_cell():
+def figure_cell(tmp_path_factory):
     """The K=5, sigma^2 = 1e-2 cell of the figure protocol, all algorithms."""
-    config = SweepConfig(k_values=(5,), noise_grid=(1e-2,), n_trials=50)
+    config = SweepConfig(k_values=(5,), noise_grid=(1e-2,), n_trials=50,
+                         output_dir=str(tmp_path_factory.mktemp("figure")))
     start = time.perf_counter()
-    result = run_sweep(config, write=False)
+    result = run_sweep(config)
     return result, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
-def k_behavior_cells():
+def k_behavior_cells(tmp_path_factory):
     config = SweepConfig(k_values=(2, 5), noise_grid=(1e-2, 1e-1),
-                         n_trials=50, algorithms=("pavbem",))
-    return run_sweep(config, write=False)
+                         n_trials=50, algorithms=("pavbem",),
+                         output_dir=str(tmp_path_factory.mktemp("k")))
+    return run_sweep(config)
 
 
 def test_criterion_01_algorithm_ordering(figure_cell):
@@ -79,16 +82,17 @@ def test_criterion_02_k_behavior(k_behavior_cells):
     assert gap_high >= 0.01
 
 
-def test_criterion_03_beamforming_breakdown():
+def test_criterion_03_beamforming_breakdown(tmp_path):
     with_phase = SweepConfig(k_values=(2,), n_trials=50,
-                             algorithms=("beamforming",))
-    result = run_sweep(with_phase, write=False)
+                             algorithms=("beamforming",),
+                             output_dir=str(tmp_path))
+    result = run_sweep(with_phase)
     noisy_means = result.tables[2][:, 1]
 
     clean = SweepConfig(k_values=(1,), noise_grid=(1e-3,), n_trials=50,
                         spacing_ratio=SANITY_SPACING, phase_noise=False,
-                        algorithms=("beamforming",))
-    clean_mean = run_sweep(clean, write=False).tables[1][0, 1]
+                        algorithms=("beamforming",), output_dir=str(tmp_path))
+    clean_mean = run_sweep(clean).tables[1][0, 1]
 
     ok = np.all(noisy_means < 0.7) and clean_mean > 0.95
     print("criterion 3 %s: with phase noise max=%.4f (< 0.7); "
@@ -223,7 +227,7 @@ def test_criterion_07_noise_m_step_monte_carlo():
 
 def test_criterion_08_variant_collapse_bitwise():
     rng = np.random.default_rng(1618)
-    config = EstimatorConfig(max_iterations=40)
+    cap = 40
     checked = 0
     for _ in range(20):
         n = int(rng.integers(8, 33))
@@ -234,17 +238,20 @@ def test_criterion_08_variant_collapse_bitwise():
         ones = BernoulliGaussianPrior(sigma_x_sq=1.0, occupancy=np.ones(m))
         prior = BernoulliGaussianPrior(sigma_x_sq=1.0,
                                        occupancy=np.full(m, 1 / m))
-        a = run_estimator("pavbem", y, d, PROTOCOL_MODEL, ones, config)
+        a = run_estimator("pavbem", y, d, PROTOCOL_MODEL, ones,
+                          max_iterations=cap)
         b = run_estimator("pavbem_relaxed", y, d, PROTOCOL_MODEL, prior,
-                          config)
+                          max_iterations=cap)
         assert np.array_equal(a.z_hat, b.z_hat)
         assert np.array_equal(a.spike_probs, b.spike_probs)
         assert np.array_equal(a.phase_means, b.phase_means)
         assert a.final_noise_var == b.final_noise_var
         assert a.iterations_used == b.iterations_used
 
-        c = run_estimator("pavbem_relaxed", y, d, None, prior, config)
-        e = run_estimator("prvbem", y, d, PROTOCOL_MODEL, prior, config)
+        c = run_estimator("pavbem_relaxed", y, d, None, prior,
+                          max_iterations=cap)
+        e = run_estimator("prvbem", y, d, PROTOCOL_MODEL, prior,
+                          max_iterations=cap)
         assert np.array_equal(c.z_hat, e.z_hat)
         assert np.array_equal(c.phase_means, e.phase_means)
         assert c.final_noise_var == e.final_noise_var

@@ -28,7 +28,8 @@ for ki, k in enumerate((2, 5)):
     d, model, prior, _, y = draw_trial(config, k, 1e-2, trial_rng(7, ki, 0, 0))
     print(k, "y", hashlib.sha256(y.tobytes()).hexdigest())
     for variant in VARIANTS:
-        est = run_estimator(variant, y, d, model, prior, config,
+        est = run_estimator(variant, y, d, model, prior,
+                            max_iterations=config.max_iterations,
                             noise_var=1e-2)
         print(k, variant, hashlib.sha256(est.z_hat.tobytes()).hexdigest())
 """

@@ -127,11 +127,13 @@ def test_estimate_recovers_planted_angle(tmp_path, capsys):
 
 def test_estimate_loads_no_scipy(tmp_path):
     # a fresh interpreter: import the command line, run one estimate, then
-    # list the scipy modules loaded on the way
+    # list the scipy modules loaded on the way; the process pool's module
+    # is not loaded either
     obs, _ = _simulate(tmp_path)
     code = ("import sys\n"
             "from phasedoa.cli import main\n"
             "assert main(sys.argv[1:]) == 0\n"
+            "assert 'concurrent.futures.process' not in sys.modules\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == "
             "'scipy'))\n")
     env = dict(os.environ)
@@ -198,14 +200,20 @@ def test_rejected_estimate_writes_no_diagnostics(tmp_path, capsys):
 
 def test_sweep_tiny_grid(tmp_path, capsys):
     args = (["sweep", "--output-dir", str(tmp_path)] + SMALL
-            + ["--set", "k_values=1", "--set", "noise_grid=0.1,0.5",
+            + ["--set", "k_values=1,2", "--set", "noise_grid=0.1,0.5",
                "--trials", "2", "--variant", "beamforming"])
     assert main(args) == 0
-    out = capsys.readouterr().out
-    assert "wrote" in out
-    table = np.loadtxt(str(tmp_path / "corr_vs_noise_k1.dat"), ndmin=2)
-    assert table.shape == (2, 2)
-    np.testing.assert_allclose(table[:, 0], [0.1, 0.5])
+    out = capsys.readouterr().out.splitlines()
+    paths = [tmp_path / ("corr_vs_noise_k%d.dat" % k) for k in (1, 2)]
+    tables = [np.loadtxt(str(path), ndmin=2) for path in paths]
+    for table in tables:
+        assert table.shape == (2, 2)
+        np.testing.assert_allclose(table[:, 0], [0.1, 0.5])
+    # one line per cell, k-major, with the table's means; then the files
+    assert out == (["k=%d sigma2=%s beamforming=%.4f" % (k, sigma2, mean)
+                    for k, table in zip((1, 2), tables)
+                    for sigma2, mean in zip(("0.1", "0.5"), table[:, 1])]
+                   + ["wrote %s" % path for path in paths])
 
 
 def test_sweep_emits_one_file_per_k(tmp_path):
@@ -249,6 +257,8 @@ def test_invalid_setting_is_usage_error(tmp_path, capsys, command, setting,
     ("estimate", "--output-dir x"),
     ("sweep", "--set order=index"),
     ("estimate", "--set estimate_noise=0"),
+    ("estimate", "--set relax_iterations=0"),
+    ("sweep", "--set convergence_tol=1e-3"),
 ])
 def test_removed_or_unread_setting_is_usage_error(tmp_path, capsys, command,
                                                   setting):

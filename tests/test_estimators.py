@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phasedoa
-from phasedoa.estimators import (DoaEstimate, EstimatorConfig, beamforming,
-                                 extract_support, run_estimator)
+from phasedoa.estimators import (CONVERGENCE_TOL, RELAX_ITERATIONS,
+                                 DoaEstimate, beamforming, extract_support,
+                                 run_estimator)
 from phasedoa.model import (BernoulliGaussianPrior, GroundTruth,
                             PhaseMarkovModel, build_dictionary,
                             default_angle_grid, sample_phase_trajectory,
@@ -68,10 +69,9 @@ def test_determinism_bitwise():
 def test_variant_collapse_occupancy_one():
     rng = np.random.default_rng(9)
     d, prior, _, y = _instance(rng)
-    config = EstimatorConfig()
     ones = BernoulliGaussianPrior(sigma_x_sq=1.0, occupancy=np.ones(8))
-    a = run_estimator("pavbem", y, d, MODEL, ones, config)
-    b = run_estimator("pavbem_relaxed", y, d, MODEL, prior, config)
+    a = run_estimator("pavbem", y, d, MODEL, ones)
+    b = run_estimator("pavbem_relaxed", y, d, MODEL, prior)
     np.testing.assert_array_equal(a.z_hat, b.z_hat)
     np.testing.assert_array_equal(a.spike_probs, b.spike_probs)
     assert a.final_noise_var == b.final_noise_var
@@ -80,9 +80,8 @@ def test_variant_collapse_occupancy_one():
 def test_variant_collapse_flat_phase():
     rng = np.random.default_rng(10)
     d, prior, _, y = _instance(rng)
-    config = EstimatorConfig()
-    a = run_estimator("pavbem_relaxed", y, d, None, prior, config)
-    b = run_estimator("prvbem", y, d, MODEL, prior, config)
+    a = run_estimator("pavbem_relaxed", y, d, None, prior)
+    b = run_estimator("prvbem", y, d, MODEL, prior)
     np.testing.assert_array_equal(a.z_hat, b.z_hat)
     np.testing.assert_array_equal(a.phase_means, b.phase_means)
     assert a.iterations_used == b.iterations_used
@@ -91,19 +90,9 @@ def test_variant_collapse_flat_phase():
 def test_iteration_cap():
     rng = np.random.default_rng(12)
     d, prior, _, y = _instance(rng)
-    config = EstimatorConfig(max_iterations=1)
-    est = run_estimator("pavbem", y, d, MODEL, prior, config)
+    est = run_estimator("pavbem", y, d, MODEL, prior, max_iterations=1)
     assert est.iterations_used == 1
     assert not est.converged
-
-
-def test_no_warm_start_still_runs():
-    rng = np.random.default_rng(13)
-    d, prior, _, y = _instance(rng)
-    est = run_estimator("pavbem", y, d, MODEL, prior,
-                        EstimatorConfig(relax_iterations=0))
-    assert np.all(np.isfinite(est.z_hat))
-    assert est.spike_probs.min() >= 0.0 and est.spike_probs.max() <= 1.0
 
 
 class TestBeamforming:
@@ -163,12 +152,12 @@ class TestExtractSupport:
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        EstimatorConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        EstimatorConfig(convergence_tol=0.0)
-    with pytest.raises(ValueError):
-        EstimatorConfig(relax_iterations=-1)
+    d = build_dictionary(16, 4.0, default_angle_grid(4))
+    prior = BernoulliGaussianPrior(1.0, np.full(4, 0.5))
+    for variant in ("pavbem", "pavbem_relaxed", "prvbem"):
+        with pytest.raises(ValueError, match="^max_iterations must be >= 1$"):
+            run_estimator(variant, np.ones(16, dtype=complex), d, MODEL,
+                          prior, max_iterations=0)
 
 
 def test_initial_noise_var_validation():
@@ -194,32 +183,30 @@ def test_nonfinite_observation_rejected(variant, bad):
     d, prior, _, y = _instance(rng)
     y[3] = bad
     with pytest.raises(ValueError, match="^observation must be finite$"):
-        run_estimator(variant, y, d, MODEL, prior, EstimatorConfig())
+        run_estimator(variant, y, d, MODEL, prior)
 
 
 def test_run_estimator_dispatch():
     rng = np.random.default_rng(16)
     d, prior, _, y = _instance(rng)
-    config = EstimatorConfig(max_iterations=5)
     for variant in ("pavbem", "pavbem_relaxed", "prvbem", "beamforming"):
-        est = run_estimator(variant, y, d, MODEL, prior, config)
+        est = run_estimator(variant, y, d, MODEL, prior, max_iterations=5)
         assert isinstance(est, DoaEstimate)
         assert est.z_hat.shape == (8,)
     with pytest.raises(ValueError):
-        run_estimator("music", y, d, MODEL, prior, config)
+        run_estimator("music", y, d, MODEL, prior, max_iterations=5)
 
 
 def test_run_estimator_passes_trace():
     rng = np.random.default_rng(17)
     d, prior, _, y = _instance(rng)
-    config = EstimatorConfig(max_iterations=4, relax_iterations=2)
     for variant in ("pavbem", "pavbem_relaxed", "prvbem"):
         seen = []
-        est = run_estimator(variant, y, d, MODEL, prior, config,
+        est = run_estimator(variant, y, d, MODEL, prior, max_iterations=4,
                             trace=lambda t, info: seen.append(t))
         assert seen == list(range(1, est.iterations_used + 1))
     seen = []
-    run_estimator("beamforming", y, d, MODEL, prior, config,
+    run_estimator("beamforming", y, d, MODEL, prior, max_iterations=4,
                   trace=lambda t, info: seen.append(t))
     assert seen == []
 
@@ -266,26 +253,24 @@ def test_scale_equivariance_property(seed, exponent, variant):
 def test_stop_rule_is_relative_change_of_fitted_signal():
     rng = np.random.default_rng(19)
     d, prior, _, y = _instance(rng)
-    config = EstimatorConfig(relax_iterations=3)
     deltas = []
-    est = run_estimator("pavbem", y, d, MODEL, prior, config,
+    est = run_estimator("pavbem", y, d, MODEL, prior,
                         trace=lambda t, info: deltas.append(info["delta"]))
     assert est.converged and est.iterations_used == len(deltas)
     # <z> after t iterations is the estimate of a run capped at t; before
     # the first it is the matched filter, the warm start
     z = [beamforming(y, d).z_hat]
     for t in range(1, 6):
-        capped = EstimatorConfig(max_iterations=t, relax_iterations=3)
-        z.append(run_estimator("pavbem", y, d, MODEL, prior, capped).z_hat)
+        z.append(run_estimator("pavbem", y, d, MODEL, prior,
+                               max_iterations=t).z_hat)
     for t in range(1, 6):
         new, old = d.columns @ z[t], d.columns @ z[t - 1]
         expected = np.max(np.abs(new - old)) / np.max(np.abs(new))
         np.testing.assert_allclose(deltas[t - 1], expected, rtol=1e-12)
-    # warm-up ends at relax_iterations or at the first small delta; the run
+    # warm-up ends at RELAX_ITERATIONS or at the first small delta; the run
     # ends at the first small delta after that
-    tol = config.convergence_tol
     handover = next(t for t, delta in enumerate(deltas, 1)
-                    if delta < tol or t >= config.relax_iterations)
+                    if delta < CONVERGENCE_TOL or t >= RELAX_ITERATIONS)
     stop = next(t for t, delta in enumerate(deltas, 1)
-                if t > handover and delta < tol)
+                if t > handover and delta < CONVERGENCE_TOL)
     assert est.iterations_used == stop

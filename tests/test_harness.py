@@ -14,8 +14,7 @@ from phasedoa.io import read_dat
 def _tiny_config(tmp_path, **kw):
     base = dict(n_sensors=16, grid_size=4, k_values=(1,), noise_grid=(0.1,),
                 n_trials=2, algorithms=("beamforming", "prvbem"),
-                max_iterations=10, relax_iterations=3,
-                output_dir=str(tmp_path))
+                max_iterations=10, output_dir=str(tmp_path))
     base.update(kw)
     return SweepConfig(**base)
 
@@ -98,17 +97,14 @@ def test_failed_trials_excluded_from_means(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "run_estimator", flaky)
     config = _tiny_config(tmp_path)
-    result = run_sweep(config, write=False)
+    result = run_sweep(config)
     assert result.failed_counts[1][0, 1] == 1
     assert np.isfinite(result.tables[1][0, 2])  # mean over the surviving trial
 
 
 def test_run_sweep_tiny_grid(tmp_path):
     config = _tiny_config(tmp_path, k_values=(1, 2), noise_grid=(0.05, 0.5))
-    seen = []
-    result = run_sweep(config, progress=lambda k, nv, means, fails:
-                       seen.append((k, nv)))
-    assert len(seen) == 4
+    result = run_sweep(config)
     for k in (1, 2):
         table = result.tables[k]
         assert table.shape == (2, 3)
@@ -116,13 +112,6 @@ def test_run_sweep_tiny_grid(tmp_path):
         assert np.all((table[:, 1:] >= 0) & (table[:, 1:] <= 1))
         assert os.path.exists(result.paths[k])
         np.testing.assert_array_equal(read_dat(result.paths[k]), table)
-
-
-def test_run_sweep_no_write(tmp_path):
-    config = _tiny_config(tmp_path)
-    result = run_sweep(config, write=False)
-    assert result.paths == {}
-    assert os.listdir(tmp_path) == []
 
 
 def test_parallel_matches_serial_bytes(tmp_path):
@@ -161,4 +150,4 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError, match="workers must be >= 1"):
         SweepConfig(workers=0)
     with pytest.raises(ValueError, match="max_iterations"):
-        SweepConfig(max_iterations=0)  # inherited from EstimatorConfig
+        SweepConfig(max_iterations=0)

@@ -12,8 +12,9 @@ import pytest
 from phasedoa.model import PhaseMarkovModel, build_dictionary
 from phasedoa.phase import (PseudoObservations, bessel_ratio, circular_moment,
                             compute_eta, noninformative_posterior,
-                            prior_marginals, prior_precision,
                             pseudo_observations, smooth)
+
+from oracles import prior_marginals, prior_precision
 
 
 def _series_ratio(x):
@@ -233,10 +234,10 @@ class TestSmoother:
 
     def test_empty_chain(self):
         model = PhaseMarkovModel(a=0.8, sigma_theta_sq=1.0, sigma_1_sq=4.0)
-        post = smooth(PseudoObservations(values=np.zeros(0),
-                                         precisions=np.zeros(0)), model)
-        assert post.means.shape == post.marginal_variances.shape == (0,)
-        assert post.circular_moments.shape == (0,)
+        empty = PseudoObservations(values=np.zeros(0), precisions=np.zeros(0))
+        for post in (smooth(empty, model), noninformative_posterior(empty)):
+            assert post.means.shape == post.marginal_variances.shape == (0,)
+            assert post.circular_moments.shape == (0,)
 
     def test_rejects_nonfinite_values(self):
         model = PhaseMarkovModel(a=0.8, sigma_theta_sq=1.0, sigma_1_sq=1.0)
@@ -325,10 +326,11 @@ class TestBesselRatio:
             assert out.shape == shape and out.dtype == np.float64
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            bessel_ratio(-1.0)
-        with pytest.raises(ValueError):
-            bessel_ratio(np.inf)
+        for bad in (-1.0, np.inf, np.nan, np.array([0.5, np.nan, 2.0]),
+                    np.array([0.5, -np.inf]),
+                    np.array([[0.5, 1.0], [-1e-300, 2.0]])):
+            with pytest.raises(ValueError):
+                bessel_ratio(bad)
 
 
 class TestCircularMoment:

@@ -104,6 +104,10 @@ def _calls():
         ("reject-set-order", small_est + ["--set", "order=index"]),
         ("reject-set-estimate-noise",
          small_est + ["--set", "estimate_noise=0"]),
+        ("reject-set-relax-iterations",
+         small_est + ["--set", "relax_iterations=0"]),
+        ("reject-set-convergence-tol",
+         small_est + ["--set", "convergence_tol=1e-3"]),
         ("ignored-estimate-set-noise-var",
          small_est + ["--set", "noise_var=0.02"]),
         ("ignored-sweep-set-k", SWEEP + ["--set", "k=1"]),

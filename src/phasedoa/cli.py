@@ -153,14 +153,14 @@ def _cmd_estimate(args):
                         max_iterations=config.max_iterations, trace=trace,
                         noise_var=values["initial_noise_var"])
 
-    idx, angles = extract_support(est, k, dictionary.angles)
+    idx = extract_support(est, k)
     print("variant: %s" % variant)
     print("iterations: %d (converged: %s)"
           % (est.iterations_used, est.converged))
     if np.isfinite(est.final_noise_var):
         print("final sigma^2: %.6g" % est.final_noise_var)
     print("top-%d atoms (index, angle deg, |z_hat|):" % k)
-    for i, ang in zip(idx, angles):
+    for i, ang in zip(idx, dictionary.angles[idx]):
         print("  %3d  %+8.3f  %.5f"
               % (i, np.degrees(ang), np.abs(est.z_hat[i])))
     print("|z_hat|: " + " ".join("%.4f" % v for v in np.abs(est.z_hat)))

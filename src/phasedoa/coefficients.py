@@ -1,8 +1,9 @@
 """Bernoulli-Gaussian coefficient updates and the noise M-step.
 
 Each atom i keeps a two-point factor q(s_i) plus the slab conditional
-q(x_i | s_i = 1) = CN(cond_mean_i, cond_var_i). The posterior mean of the
-amplitude is <z_i> = spike_prob_i * cond_mean_i.
+q(x_i | s_i = 1) = CN(cond_mean_i, cond_var). The variance is one for all
+atoms, because every steering column has d_i^H d_i = N. The posterior mean
+of the amplitude is <z_i> = spike_prob_i * cond_mean_i.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 class CoefficientPosterior:
     spike_prob: np.ndarray  # q(s_i = 1)
     cond_mean: np.ndarray   # m_{x_i}(s_i = 1), complex
-    cond_var: np.ndarray    # Sigma_{x_i}(s_i = 1)
+    cond_var: float         # Sigma_x(s_i = 1), shared: every d_i^H d_i = N
 
     def z_mean(self):
         return self.spike_prob * self.cond_mean
@@ -25,11 +26,9 @@ def initial_posterior(y, dictionary, prior):
     """Beamforming warm start: cond_mean = (1/N) d_i^H y, spike = p_i."""
     n = dictionary.n_sensors
     cond_mean = (dictionary.columns.conj().T @ y) / n
-    m = cond_mean.shape[0]
-    sx = prior.sigma_x_sq
     return CoefficientPosterior(spike_prob=prior.occupancy.copy(),
                                 cond_mean=cond_mean,
-                                cond_var=np.full(m, sx))
+                                cond_var=float(prior.sigma_x_sq))
 
 
 def phase_corrected_observation(y, phase_posterior):
@@ -38,39 +37,39 @@ def phase_corrected_observation(y, phase_posterior):
     return y * np.conj(phase_posterior.circular_moments)
 
 
-def _atom_update(dhr, dd, p_i, sigma_x_sq, noise_var):
-    """Scalar spike-and-slab update given d_i^H <r_i>.
+def _slab(sigma_x_sq, noise_var, n):
+    """The slab factor that every atom shares, since d_i^H d_i = N:
+    (gain, cond_var, half_log_ratio) with gain = sx/(s2 + sx*N), so that
+    m(1) = gain * d_i^H r_i, cond_var = Sigma(1) = s2*sx/(s2 + sx*N) and
+    half_log_ratio = 0.5*log(Sigma(1)/sx)."""
+    denom = noise_var + sigma_x_sq * n
+    cond_var = noise_var * sigma_x_sq / denom
+    gain = sigma_x_sq / denom
+    ratio = cond_var / sigma_x_sq
+    return gain, cond_var, 0.5 * (math.log(ratio) if ratio else -math.inf)
 
-    Sigma(1) = s2*sx/(s2 + sx*dd), m(1) = sx/(s2 + sx*dd) * d_i^H r_i,
-    log-odds = 0.5*log(Sigma(1)/sx) + |m(1)|^2/Sigma(1) + logit(p_i).
+
+def _spike(cond_mean, cond_var, half_log_ratio, p_i):
+    """q(s_i = 1), the logistic of half_log_ratio + |m|^2/Sigma + logit(p_i).
     Runs on Python scalars; where math would raise, the guards give the
     IEEE results (log 0 = -inf, x/0 = +-inf or nan, x*x overflows to inf).
     """
-    denom = noise_var + sigma_x_sq * dd
-    cond_var = noise_var * sigma_x_sq / denom
-    cond_mean = (sigma_x_sq / denom) * dhr
     if p_i >= 1.0:
-        spike = 1.0
-    elif p_i <= 0.0:
-        spike = 0.0
+        return 1.0
+    if p_i <= 0.0:
+        return 0.0
+    # log-domain: the evidence exponent routinely exceeds 700
+    energy = (cond_mean.real * cond_mean.real
+              + cond_mean.imag * cond_mean.imag)
+    if cond_var:
+        evidence = energy / cond_var
     else:
-        # log-domain: the evidence exponent routinely exceeds 700
-        ratio = cond_var / sigma_x_sq
-        energy = (cond_mean.real * cond_mean.real
-                  + cond_mean.imag * cond_mean.imag)
-        if cond_var:
-            evidence = energy / cond_var
-        else:
-            evidence = math.inf if energy else math.nan
-        log_odds = (0.5 * (math.log(ratio) if ratio else -math.inf)
-                    + evidence
-                    + math.log(p_i / (1.0 - p_i)))
-        if log_odds >= 0:
-            spike = 1.0 / (1.0 + math.exp(-log_odds))
-        else:
-            e = math.exp(log_odds)
-            spike = e / (1.0 + e)
-    return spike, cond_mean, cond_var
+        evidence = math.inf if energy else math.nan
+    log_odds = half_log_ratio + evidence + math.log(p_i / (1.0 - p_i))
+    if log_odds >= 0:
+        return 1.0 / (1.0 + math.exp(-log_odds))
+    e = math.exp(log_odds)
+    return e / (1.0 + e)
 
 
 def sweep_atoms(y_bar, posteriors, dictionary, prior, noise_var, fitted):
@@ -81,8 +80,9 @@ def sweep_atoms(y_bar, posteriors, dictionary, prior, noise_var, fitted):
     already holds. Tracks c = D^H r, every atom's correlation with the
     residual r = ybar - D<z>. Atom i sees d_i^H r_i = c_i + N <z_i>, and
     moving <z_i> by delta moves c by -delta * D^H d_i, row i of the cached
-    dictionary.gram. One O(NM) product per sweep, then O(M) per atom.
-    The input posterior is left unchanged.
+    dictionary.gram. One O(NM) product and one _slab per sweep (every atom
+    shares the slab variance), then O(M) per atom. The input posterior is
+    left unchanged.
     """
     if noise_var <= 0:
         raise ValueError("noise_var must be positive")
@@ -94,33 +94,32 @@ def sweep_atoms(y_bar, posteriors, dictionary, prior, noise_var, fitted):
     c = np.conj(np.conj(residual) @ d)  # D^H r without copying D^H
     spike = posteriors.spike_prob.tolist()
     mean = posteriors.cond_mean.tolist()
-    var = posteriors.cond_var.tolist()
     occupancy = prior.occupancy.tolist()
-    sigma_x_sq = float(prior.sigma_x_sq)
-    noise_var = float(noise_var)
+    gain, cond_var, half_log_ratio = _slab(float(prior.sigma_x_sq),
+                                           float(noise_var), n)
     for i in sweep_order(w).tolist():
         old = spike[i] * mean[i]
-        s, mu, v = _atom_update(c.item(i) + n * old, n, occupancy[i],
-                                sigma_x_sq, noise_var)
-        spike[i], mean[i], var[i] = s, mu, v
+        mu = gain * (c.item(i) + n * old)
+        s = _spike(mu, cond_var, half_log_ratio, occupancy[i])
+        spike[i], mean[i] = s, mu
         c -= gram[i] * (s * mu - old)
     return CoefficientPosterior(spike_prob=np.array(spike, dtype=float),
                                 cond_mean=np.array(mean, dtype=complex),
-                                cond_var=np.array(var, dtype=float))
+                                cond_var=cond_var)
 
 
 def sweep_order(z_means):
     """Atom visitation order of sweep_atoms: descending |<z_i>|, ties
     broken toward the lower index."""
-    m = z_means.shape[0]
-    return np.lexsort((np.arange(m), -np.abs(z_means)))
+    return np.argsort(-np.abs(z_means), kind="stable")
 
 
 def estimate_noise_variance(y, y_bar, posteriors, fitted):
     """Closed-form M-step value of sigma^2, i.e. (1/N) E_q ||y - P D z||^2.
 
     The phase enters through ybar (first cross term); the quadratic term
-    uses E|z_i|^2 = q_i (Sigma_i + |m_i|^2) and |<z_i>|^2 on the diagonal.
+    uses E|z_i|^2 = q_i (Sigma + |m_i|^2), with the one slab variance Sigma
+    that all atoms share (d_i^H d_i = N), and |<z_i>|^2 on the diagonal.
     fitted is the signal D<z> of these posteriors. Returns the raw value;
     the caller applies the floor. A value further below zero than rounding
     explains (1e-9 of the power of y) means y_bar does not belong to y and
@@ -128,15 +127,16 @@ def estimate_noise_variance(y, y_bar, posteriors, fitted):
     """
     n = y.shape[0]
     w = posteriors.z_mean()
+    power = np.vdot(y, y).real
     second_moment = posteriors.spike_prob * (
         posteriors.cond_var + np.abs(posteriors.cond_mean) ** 2)
-    total = (np.vdot(y, y).real
+    total = (power
              - 2.0 * np.vdot(fitted, y_bar).real
              + np.vdot(fitted, fitted).real
              + n * np.sum(second_moment - np.abs(w) ** 2))
     value = total / n
     # up to rounding the expectation cannot be negative
-    bound = -1e-9 * np.vdot(y, y).real / n
+    bound = -1e-9 * power / n
     if not value >= bound:
         raise FloatingPointError(
             "noise variance %.17g is below its rounding bound %.17g; "

@@ -67,17 +67,12 @@ def _observation(y, dictionary):
     return y
 
 
-def extract_support(estimate, k, angles=None):
+def extract_support(estimate, k):
     """Indices of the k largest |z_hat_i|, ties broken toward the lower
-    index; optionally mapped onto the grid angles."""
-    m = estimate.z_hat.shape[0]
-    if not 1 <= k <= m:
+    index."""
+    if not 1 <= k <= estimate.z_hat.shape[0]:
         raise ValueError("k must satisfy 1 <= k <= number of atoms")
-    ranked = np.lexsort((np.arange(m), -np.abs(estimate.z_hat)))
-    idx = ranked[:k]
-    if angles is None:
-        return idx, None
-    return idx, np.asarray(angles)[idx]
+    return np.argsort(-np.abs(estimate.z_hat), kind="stable")[:k]
 
 
 def _vbem(y, dictionary, phase_model, prior, sparse, max_iterations, trace,
@@ -183,6 +178,8 @@ def run_estimator(variant, y, dictionary, phase_model, prior,
     max|D<z>_new|. The first RELAX_ITERATIONS iterations, or fewer if delta
     falls below CONVERGENCE_TOL first, clamp every occupancy to 1 (the
     warm-up); the run stops once delta falls below CONVERGENCE_TOL after it.
+    So a cap at or below RELAX_ITERATIONS never uses the occupancy prior,
+    unless delta falls below CONVERGENCE_TOL before the cap.
 
     Every product runs on one BLAS thread (blas.one_blas_thread), so the
     estimate does not depend on the BLAS thread count.

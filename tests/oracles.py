@@ -8,20 +8,21 @@ prior in the dense form that ``phase.smooth`` never builds.
 
 import numpy as np
 
-from phasedoa.coefficients import CoefficientPosterior, _atom_update
+from phasedoa.coefficients import CoefficientPosterior, _slab, _spike
 
 
 def copy_posterior(posteriors):
     """An independent copy of a CoefficientPosterior."""
     return CoefficientPosterior(posteriors.spike_prob.copy(),
                                 posteriors.cond_mean.copy(),
-                                posteriors.cond_var.copy())
+                                posteriors.cond_var)
 
 
 def update_atom(i, y_bar, posteriors, dictionary, prior, noise_var):
     """Recompute the factor of atom i against the residual left by all
-    other atoms, r_i = ybar - sum_{k != i} <z_k> d_k. Returns a new
-    CoefficientPosterior with entry i replaced."""
+    other atoms, r_i = ybar - sum_{k != i} <z_k> d_k, and its slab factor
+    from the column's own d_i^H d_i. Returns a new CoefficientPosterior
+    with entry i and the slab variance replaced."""
     if noise_var <= 0:
         raise ValueError("noise_var must be positive")
     d = dictionary.columns
@@ -29,13 +30,13 @@ def update_atom(i, y_bar, posteriors, dictionary, prior, noise_var):
     w[i] = 0.0
     residual = y_bar - d @ w
     dhr = np.vdot(d[:, i], residual)
-    dd = dictionary.n_sensors  # d_i^H d_i = N for unit-modulus columns
-    spike, mean, var = _atom_update(dhr, dd, prior.occupancy[i],
-                                    prior.sigma_x_sq, noise_var)
+    dd = np.vdot(d[:, i], d[:, i]).real
+    gain, var, half_log_ratio = _slab(prior.sigma_x_sq, noise_var, dd)
+    mean = gain * dhr
     out = copy_posterior(posteriors)
-    out.spike_prob[i] = spike
+    out.spike_prob[i] = _spike(mean, var, half_log_ratio, prior.occupancy[i])
     out.cond_mean[i] = mean
-    out.cond_var[i] = var
+    out.cond_var = var
     return out
 
 

@@ -277,7 +277,7 @@ def test_criterion_09_exact_recovery_sanity():
         est = run_estimator("pavbem", y, d, PROTOCOL_MODEL, prior,
                             noise_var=1e-4)
         corrs.append(normalized_correlation(z, est.z_hat))
-        hits += int(extract_support(est, 1)[0][0] == atom)
+        hits += int(extract_support(est, 1)[0] == atom)
     corrs = np.array(corrs)
     ok = corrs.min() >= 0.999 and hits == 50
     print("criterion 9 %s: min correlation %.6f (>= 0.999), top-1 support "

@@ -176,12 +176,20 @@ def test_estimate_nonfinite_observation(tmp_path, capsys):
 
 def test_estimate_writes_diagnostics(tmp_path):
     obs, _ = _simulate(tmp_path)
-    diag = tmp_path / "diag.log"
-    assert main(["estimate", obs, "--variant", "pavbem", "--diagnostics",
-                 str(diag), "--set", "max_iterations=5"] + SMALL) == 0
-    text = diag.read_text()
-    assert text.startswith("iter 1 sigma_sq ")
-    assert "# m_theta Sigma_theta" in text
+    # a cap within the warm-up (RELAX_ITERATIONS) keeps every occupancy
+    # clamped to 1; a longer run reaches the sparse updates
+    for cap, sparse in ((5, False), (40, True)):
+        diag = tmp_path / ("diag%d.log" % cap)
+        assert main(["estimate", obs, "--variant", "pavbem", "--diagnostics",
+                     str(diag), "--set", "max_iterations=%d" % cap]
+                    + SMALL) == 0
+        text = diag.read_text()
+        assert text.startswith("iter 1 sigma_sq ")
+        assert "# m_theta Sigma_theta" in text
+        last = [line.split() for line in text.splitlines()
+                if line.startswith("iter ")][-1]
+        assert last[4] == "spike_sum"
+        assert (float(last[5]) < 8) == sparse  # grid_size=8
 
 
 def test_rejected_estimate_writes_no_diagnostics(tmp_path, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from phasedoa.coefficients import (CoefficientPosterior, _atom_update,
+from phasedoa.coefficients import (CoefficientPosterior, _slab, _spike,
                                    estimate_noise_variance, initial_posterior,
                                    phase_corrected_observation, sweep_atoms,
                                    sweep_order)
@@ -34,7 +34,7 @@ def test_initial_posterior_is_beamformer():
     np.testing.assert_allclose(post.cond_mean, d.columns.conj().T @ y / 16,
                                rtol=1e-14)
     np.testing.assert_array_equal(post.spike_prob, prior.occupancy)
-    np.testing.assert_array_equal(post.cond_var, np.full(6, 1.0))
+    assert isinstance(post.cond_var, float) and post.cond_var == 1.0
 
 
 def test_phase_corrected_observation():
@@ -60,7 +60,7 @@ def test_update_atom_single_atom_hand_values():
     y_bar = d.columns[:, 0].copy()
     out = update_atom(0, y_bar, post, d, prior, 0.01)
     np.testing.assert_allclose(out.cond_mean[0], 256.0 / 256.01, rtol=1e-12)
-    np.testing.assert_allclose(out.cond_var[0], 0.01 / 256.01, rtol=1e-12)
+    np.testing.assert_allclose(out.cond_var, 0.01 / 256.01, rtol=1e-12)
     assert out.spike_prob[0] > 1.0 - 1e-6
 
 
@@ -199,8 +199,9 @@ def test_atom_update_extremes(dhr, sigma_x_sq, noise_var, expected):
     # numpy scalars may warn on the way, Python scalars must not raise
     for value in (complex(dhr), np.complex128(dhr)):
         with np.errstate(all="ignore"):
-            spike, mean, var = _atom_update(value, 256, 0.1, sigma_x_sq,
-                                            noise_var)
+            gain, var, half_log_ratio = _slab(sigma_x_sq, noise_var, 256)
+            mean = gain * value
+            spike = _spike(mean, var, half_log_ratio, 0.1)
         np.testing.assert_array_equal([spike, var], [expected[0], expected[2]])
         assert mean == expected[1]
 
@@ -239,6 +240,9 @@ def test_sweep_order():
     z = np.array([0.5, 2.0, 2.0, 0.1], dtype=complex)
     # descending energy, ties broken toward the lower index
     np.testing.assert_array_equal(sweep_order(z), [1, 2, 0, 3])
+    # a three-way tie, and NaN last
+    z = np.array([0.5, np.nan, 0.5, 3.0, 0.5, 0.1], dtype=complex)
+    np.testing.assert_array_equal(sweep_order(z), [3, 0, 2, 4, 5, 1])
 
 
 class TestNoiseVariance:

@@ -47,7 +47,7 @@ def test_noiseless_single_source_recovery():
     truth = GroundTruth(z=z, support=np.array([7]), theta=np.zeros(64))
     y = synthesize_observation(d, truth, 0.0, np.random.default_rng(0))
     est = run_estimator("pavbem", y, d, MODEL, prior, noise_var=1e-6)
-    idx, _ = extract_support(est, 1)
+    idx = extract_support(est, 1)
     assert idx[0] == 7
     corr = np.abs(np.vdot(z, est.z_hat)) / (np.linalg.norm(z)
                                             * np.linalg.norm(est.z_hat))
@@ -132,14 +132,19 @@ class TestExtractSupport:
 
     def test_top_k_with_ties(self):
         est = self._estimate([1.0, 2.0, 2.0, 0.5])
-        idx, angles = extract_support(est, 2)
+        idx = extract_support(est, 2)
         np.testing.assert_array_equal(idx, [1, 2])
-        assert angles is None
+        # a three-way tie, and NaN last
+        est = self._estimate([1.0, 2.0, 2.0, 0.5, np.nan, 2.0])
+        np.testing.assert_array_equal(extract_support(est, 3), [1, 2, 5])
+        np.testing.assert_array_equal(extract_support(est, 6),
+                                      [1, 2, 5, 0, 3, 4])
 
     def test_angles_mapped(self):
         est = self._estimate([0.0, 1.0, 0.0, 0.0])
         grid = default_angle_grid(4)
-        idx, angles = extract_support(est, 1, grid)
+        idx = extract_support(est, 1)
+        angles = grid[idx]
         np.testing.assert_array_equal(idx, [1])
         np.testing.assert_allclose(angles, [grid[1]])
 

@@ -54,6 +54,11 @@ def _calls():
                       ["estimate", SMALL_OBS, "--variant", v, "--k", "2",
                        "--diagnostics", "diag.log",
                        "--set", "max_iterations=5"] + SMALL))
+    # past RELAX_ITERATIONS (25), so the record covers the sparse updates
+    calls.append(("estimate-pavbem-diagnostics-sparse",
+                  ["estimate", SMALL_OBS, "--variant", "pavbem", "--k", "2",
+                   "--diagnostics", "diag.log",
+                   "--set", "max_iterations=40"] + SMALL))
     calls.append(("sweep", SWEEP))
     for name, flag, setting in (("k", ["--k", "2"], "k_values=2"),
                                 ("noise-var", ["--noise-var", "0.05"],

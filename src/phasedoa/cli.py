@@ -125,19 +125,6 @@ def _cmd_simulate(args):
     return 0
 
 
-def _diagnostics_writer(path):
-    # opened per iteration, so an input the estimator rejects leaves no file
-    def trace(iteration, info):
-        with open(path, "a") as fh:
-            fh.write("iter %d sigma_sq %.17g spike_sum %.17g delta %.17g\n"
-                     % (iteration, info["noise_var"], info["spike_sum"],
-                        info["delta"]))
-            fh.write("# m_theta Sigma_theta\n")
-            for m, v in zip(info["phase_means"], info["phase_variances"]):
-                fh.write("%.17g %.17g\n" % (m, v))
-    return trace
-
-
 def _cmd_estimate(args):
     values = _load_values(args)
     try:
@@ -148,10 +135,17 @@ def _cmd_estimate(args):
     variant, k = values["variant"], values["k"]
     config = _sweep_config(values, k_values=(k,), algorithms=(variant,))
     dictionary, model, prior = make_problem(config, k)
-    trace = _diagnostics_writer(args.diagnostics) if args.diagnostics else None
     est = run_estimator(variant, y, dictionary, model, prior,
-                        max_iterations=config.max_iterations, trace=trace,
+                        max_iterations=config.max_iterations,
                         noise_var=values["initial_noise_var"])
+    if args.diagnostics and est.history:  # beamforming has no iterations
+        with open(args.diagnostics, "a") as fh:
+            for t, entry in enumerate(est.history, 1):
+                fh.write("iter %d sigma_sq %.17g spike_sum %.17g delta %.17g\n"
+                         % ((t,) + entry))
+            fh.write("# m_theta Sigma_theta\n")
+            for m, v in zip(est.phase_means, est.phase_variances):
+                fh.write("%.17g %.17g\n" % (m, v))
 
     idx = extract_support(est, k)
     print("variant: %s" % variant)

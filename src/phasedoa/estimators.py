@@ -38,10 +38,18 @@ RELAX_ITERATIONS = 25   # occupancy clamped to 1 for this many leading
 class DoaEstimate:
     z_hat: np.ndarray
     spike_probs: np.ndarray
-    phase_means: np.ndarray
-    iterations_used: int
+    phase_means: np.ndarray  # the final q(theta); beamforming: zeros
+    phase_variances: np.ndarray
     converged: bool
-    final_noise_var: float
+    history: list  # one (noise_var, spike_sum, delta) per outer iteration
+
+    @property
+    def iterations_used(self):
+        return len(self.history)
+
+    @property
+    def final_noise_var(self):
+        return self.history[-1][0] if self.history else math.nan
 
 
 def beamforming(y, dictionary):
@@ -51,8 +59,8 @@ def beamforming(y, dictionary):
     z_hat = (dictionary.columns.conj().T @ y) / n
     m = z_hat.shape[0]
     return DoaEstimate(z_hat=z_hat, spike_probs=np.ones(m),
-                       phase_means=np.zeros(n), iterations_used=0,
-                       converged=True, final_noise_var=float("nan"))
+                       phase_means=np.zeros(n), phase_variances=np.zeros(n),
+                       converged=True, history=[])
 
 
 def _observation(y, dictionary):
@@ -75,7 +83,7 @@ def extract_support(estimate, k):
     return np.argsort(-np.abs(estimate.z_hat), kind="stable")[:k]
 
 
-def _vbem(y, dictionary, phase_model, prior, sparse, max_iterations, trace,
+def _vbem(y, dictionary, phase_model, prior, sparse, max_iterations,
           noise_var):
     y = _observation(y, dictionary)
     n = dictionary.n_sensors
@@ -88,7 +96,7 @@ def _vbem(y, dictionary, phase_model, prior, sparse, max_iterations, trace,
     tiny = np.finfo(float).tiny
     if noise_var is None:
         noise_var = max(0.01 * power, tiny)
-    elif noise_var <= 0:
+    elif not 0 < noise_var < math.inf:
         raise ValueError("noise_var must be positive")
 
     post = coef.initial_posterior(y, dictionary, prior)
@@ -102,11 +110,9 @@ def _vbem(y, dictionary, phase_model, prior, sparse, max_iterations, trace,
     w = post.z_mean()
     u = dictionary.columns @ w  # the fitted signal D<z>
 
-    phase_post = None
+    history = []
     converged = False
-    iterations = 0
     for t in range(1, max_iterations + 1):
-        iterations = t
         eta = ph.compute_eta(y, u)
         pseudo = ph.pseudo_observations(eta, noise_var)
         if phase_model is None:
@@ -125,11 +131,7 @@ def _vbem(y, dictionary, phase_model, prior, sparse, max_iterations, trace,
 
         delta = _relative_change(u_new, u)
         u = u_new
-        if trace is not None:
-            trace(t, {"noise_var": noise_var, "delta": delta,
-                      "spike_sum": float(np.sum(post.spike_prob)),
-                      "phase_means": phase_post.means,
-                      "phase_variances": phase_post.marginal_variances})
+        history.append((noise_var, float(np.sum(post.spike_prob)), delta))
         if warm:
             if delta < CONVERGENCE_TOL or t >= RELAX_ITERATIONS:
                 warm = False  # hand over to the sparse updates
@@ -139,8 +141,8 @@ def _vbem(y, dictionary, phase_model, prior, sparse, max_iterations, trace,
 
     return DoaEstimate(z_hat=w, spike_probs=post.spike_prob.copy(),
                        phase_means=phase_post.means,
-                       iterations_used=iterations, converged=converged,
-                       final_noise_var=noise_var)
+                       phase_variances=phase_post.marginal_variances,
+                       converged=converged, history=history)
 
 
 def _relative_change(new, old):
@@ -157,7 +159,7 @@ def _relative_change(new, old):
 
 @one_blas_thread()
 def run_estimator(variant, y, dictionary, phase_model, prior,
-                  max_iterations=MAX_ITERATIONS, trace=None, noise_var=None):
+                  max_iterations=MAX_ITERATIONS, noise_var=None):
     """Run the estimator ``variant`` (one of VARIANTS) on the observation y.
 
     - pavbem: the full phase-aware VBEM with the Bernoulli-Gaussian prior.
@@ -171,13 +173,14 @@ def run_estimator(variant, y, dictionary, phase_model, prior,
 
     max_iterations (>= 1) caps the outer iterations of a VBEM variant.
     noise_var is the starting sigma^2; None starts from 0.01 * mean |y_n|^2.
-    trace, if given, is called after every outer iteration as
-    trace(iteration, info) with info holding noise_var, delta, spike_sum,
-    phase_means and phase_variances. delta is the iteration's change of
-    the fitted signal relative to its size, max|D<z>_new - D<z>_old| /
-    max|D<z>_new|. The first RELAX_ITERATIONS iterations, or fewer if delta
-    falls below CONVERGENCE_TOL first, clamp every occupancy to 1 (the
-    warm-up); the run stops once delta falls below CONVERGENCE_TOL after it.
+    The estimate's history holds one (noise_var, spike_sum, delta) per
+    outer iteration: the sigma^2 after the M-step, the sum of the
+    occupancies q(s_i = 1), and the iteration's change of the fitted
+    signal relative to its size, max|D<z>_new - D<z>_old| / max|D<z>_new|.
+    iterations_used is its length and final_noise_var its last sigma^2.
+    The first RELAX_ITERATIONS iterations, or fewer if delta falls below
+    CONVERGENCE_TOL first, clamp every occupancy to 1 (the warm-up); the
+    run stops once delta falls below CONVERGENCE_TOL after it.
     So a cap at or below RELAX_ITERATIONS never uses the occupancy prior,
     unless delta falls below CONVERGENCE_TOL before the cap.
 
@@ -192,4 +195,4 @@ def run_estimator(variant, y, dictionary, phase_model, prior,
         raise ValueError("max_iterations must be >= 1")
     chain, sparse = _VBEM[variant]
     return _vbem(y, dictionary, phase_model if chain else None, prior, sparse,
-                 max_iterations, trace, noise_var)
+                 max_iterations, noise_var)

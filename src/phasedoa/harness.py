@@ -55,7 +55,7 @@ class SweepConfig:
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
         grid = np.asarray(self.noise_grid, dtype=float)
-        if grid.size == 0 or np.any(grid <= 0):
+        if grid.size == 0 or not np.all((grid > 0) & (grid < np.inf)):
             raise ValueError("noise_grid must be nonempty and positive")
         if not self.k_values or min(self.k_values) < 0:
             raise ValueError("k_values must be nonempty and nonnegative")

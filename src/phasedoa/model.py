@@ -42,10 +42,11 @@ class PhaseMarkovModel:
     sigma_1_sq: float
 
     def __post_init__(self):
-        if not (self.sigma_theta_sq > 0 and self.sigma_1_sq > 0):
-            raise ValueError("phase model variances must be positive")
-        if self.a < 0:
-            raise ValueError("AR coefficient a must be nonnegative")
+        if not (0 < self.sigma_theta_sq < np.inf
+                and 0 < self.sigma_1_sq < np.inf):
+            raise ValueError("phase model variances must lie in (0, inf)")
+        if not 0 <= self.a < np.inf:
+            raise ValueError("AR coefficient a must lie in [0, inf)")
 
 
 @dataclass
@@ -57,9 +58,9 @@ class BernoulliGaussianPrior:
 
     def __post_init__(self):
         self.occupancy = np.asarray(self.occupancy, dtype=float)
-        if self.sigma_x_sq <= 0:
-            raise ValueError("sigma_x_sq must be positive")
-        if np.any(self.occupancy < 0) or np.any(self.occupancy > 1):
+        if not 0 < self.sigma_x_sq < np.inf:
+            raise ValueError("sigma_x_sq must lie in (0, inf)")
+        if not np.all((self.occupancy >= 0) & (self.occupancy <= 1)):
             raise ValueError("occupancy probabilities must lie in [0, 1]")
 
 
@@ -125,8 +126,8 @@ def sample_ground_truth(prior, k, rng):
 def synthesize_observation(dictionary, truth, noise_var, rng):
     """y_n = exp(j*theta_n) * (D z)_n + w_n, w_n circular complex Gaussian
     with total variance noise_var (variance noise_var/2 per component)."""
-    if noise_var < 0:
-        raise ValueError("noise variance must be nonnegative")
+    if not 0 <= noise_var < np.inf:
+        raise ValueError("noise variance must lie in [0, inf)")
     if truth.z.shape[0] != dictionary.columns.shape[1]:
         raise ValueError("z length does not match dictionary atom count")
     if truth.theta is None or truth.theta.shape[0] != dictionary.n_sensors:

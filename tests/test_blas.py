@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasedoa import blas
+from phasedoa import blas, coefficients
 from phasedoa.estimators import VARIANTS, run_estimator
 from phasedoa.harness import SweepConfig, draw_trial, trial_rng
 
@@ -73,25 +73,28 @@ def _setters():
     ("music", False, "unknown variant"),
     ("pavbem", True, "observation must be finite"),
 ])
-def test_caller_setting_restored(variant, nan_sample, error):
+def test_caller_setting_restored(monkeypatch, variant, nan_sample, error):
     setters = _setters()
     d, model, prior, y = _problem()
     if nan_sample:
         y = y.copy()
         y[3] = np.nan
     inside = []
+    sweep_atoms = coefficients.sweep_atoms
 
-    def trace(t, info):
+    def probe(*args):
         # setting 1 again returns the value in force during the run
         inside.append([setter(1) for setter in setters])
+        return sweep_atoms(*args)
 
+    monkeypatch.setattr(coefficients, "sweep_atoms", probe)
     caller = [setter(2) for setter in setters]
     try:
         if error is None:
-            run_estimator(variant, y, d, model, prior, trace=trace)
+            run_estimator(variant, y, d, model, prior)
         else:
             with pytest.raises(ValueError, match=error):
-                run_estimator(variant, y, d, model, prior, trace=trace)
+                run_estimator(variant, y, d, model, prior)
     finally:
         after = [setter(value) for setter, value in zip(setters, caller)]
     assert after == [2] * len(setters)

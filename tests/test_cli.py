@@ -185,11 +185,22 @@ def test_estimate_writes_diagnostics(tmp_path):
                     + SMALL) == 0
         text = diag.read_text()
         assert text.startswith("iter 1 sigma_sq ")
-        assert "# m_theta Sigma_theta" in text
-        last = [line.split() for line in text.splitlines()
-                if line.startswith("iter ")][-1]
+        # the iterations, then one block of the final phase posterior
+        lines = text.splitlines()
+        assert lines.count("# m_theta Sigma_theta") == 1
+        head = lines.index("# m_theta Sigma_theta")
+        assert len(lines) == head + 1 + 32  # n_sensors=32
+        assert all(line.startswith("iter ") for line in lines[:head])
+        last = lines[head - 1].split()
         assert last[4] == "spike_sum"
         assert (float(last[5]) < 8) == sparse  # grid_size=8
+
+
+def test_beamforming_writes_no_diagnostics(tmp_path):
+    obs, _ = _simulate(tmp_path)
+    assert main(["estimate", obs, "--variant", "beamforming", "--diagnostics",
+                 str(tmp_path / "diag.log")] + SMALL) == 0
+    assert not (tmp_path / "diag.log").exists()
 
 
 def test_rejected_estimate_writes_no_diagnostics(tmp_path, capsys):
@@ -243,6 +254,7 @@ def test_sweep_emits_one_file_per_k(tmp_path):
     ("sweep", "--workers 0", "workers must be >= 1"),
     ("sweep", "--k x", "bad value for k_values"),
     ("sweep", "--noise-var x", "bad value for noise_grid"),
+    ("sweep", "noise_grid=nan", "noise_grid must be nonempty and positive"),
     ("estimate", "--noise-var x", "bad value for initial_noise_var"),
 ])
 def test_invalid_setting_is_usage_error(tmp_path, capsys, command, setting,

@@ -127,8 +127,8 @@ class TestExtractSupport:
         m = len(z)
         return DoaEstimate(z_hat=np.asarray(z, dtype=complex),
                            spike_probs=np.ones(m), phase_means=np.zeros(4),
-                           iterations_used=1, converged=True,
-                           final_noise_var=0.1)
+                           phase_variances=np.zeros(4), converged=True,
+                           history=[(0.1, float(m), 0.0)])
 
     def test_top_k_with_ties(self):
         est = self._estimate([1.0, 2.0, 2.0, 0.5])
@@ -168,9 +168,10 @@ def test_config_validation():
 def test_initial_noise_var_validation():
     d = build_dictionary(16, 4.0, default_angle_grid(4))
     prior = BernoulliGaussianPrior(1.0, np.full(4, 0.5))
-    with pytest.raises(ValueError):
-        run_estimator("pavbem", np.ones(16, dtype=complex), d, MODEL, prior,
-                      noise_var=-1.0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="^noise_var must be positive$"):
+            run_estimator("pavbem", np.ones(16, dtype=complex), d, MODEL,
+                          prior, noise_var=bad)
 
 
 def test_observation_length_checked():
@@ -202,18 +203,20 @@ def test_run_estimator_dispatch():
         run_estimator("music", y, d, MODEL, prior, max_iterations=5)
 
 
-def test_run_estimator_passes_trace():
+def test_run_estimator_records_history():
     rng = np.random.default_rng(17)
     d, prior, _, y = _instance(rng)
     for variant in ("pavbem", "pavbem_relaxed", "prvbem"):
-        seen = []
-        est = run_estimator(variant, y, d, MODEL, prior, max_iterations=4,
-                            trace=lambda t, info: seen.append(t))
-        assert seen == list(range(1, est.iterations_used + 1))
-    seen = []
-    run_estimator("beamforming", y, d, MODEL, prior, max_iterations=4,
-                  trace=lambda t, info: seen.append(t))
-    assert seen == []
+        est = run_estimator(variant, y, d, MODEL, prior, max_iterations=4)
+        assert not est.converged and est.iterations_used == 4
+        assert est.final_noise_var == est.history[-1][0]
+        # one entry per iteration, in order: a shorter cap gives a prefix
+        for cap in (1, 2, 3):
+            short = run_estimator(variant, y, d, MODEL, prior,
+                                  max_iterations=cap)
+            assert short.history == est.history[:cap]
+    est = run_estimator("beamforming", y, d, MODEL, prior, max_iterations=4)
+    assert est.history == [] and est.iterations_used == 0
 
 
 def test_public_api():
@@ -258,9 +261,8 @@ def test_scale_equivariance_property(seed, exponent, variant):
 def test_stop_rule_is_relative_change_of_fitted_signal():
     rng = np.random.default_rng(19)
     d, prior, _, y = _instance(rng)
-    deltas = []
-    est = run_estimator("pavbem", y, d, MODEL, prior,
-                        trace=lambda t, info: deltas.append(info["delta"]))
+    est = run_estimator("pavbem", y, d, MODEL, prior)
+    deltas = [delta for _, _, delta in est.history]
     assert est.converged and est.iterations_used == len(deltas)
     # <z> after t iterations is the estimate of a run capped at t; before
     # the first it is the matched filter, the warm start

@@ -133,8 +133,9 @@ def test_parallel_matches_serial_bytes(tmp_path):
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(n_trials=0)
-    with pytest.raises(ValueError):
-        SweepConfig(noise_grid=(0.1, -0.5))
+    for bad in (-0.5, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            SweepConfig(noise_grid=(0.1, bad))
     with pytest.raises(ValueError):
         SweepConfig(noise_grid=())
     with pytest.raises(ValueError):

@@ -73,19 +73,25 @@ def test_dictionary_validation():
 
 
 def test_phase_model_validation():
-    with pytest.raises(ValueError):
-        PhaseMarkovModel(a=0.8, sigma_theta_sq=0.0, sigma_1_sq=1.0)
-    with pytest.raises(ValueError):
-        PhaseMarkovModel(a=0.8, sigma_theta_sq=1.0, sigma_1_sq=-1.0)
-    with pytest.raises(ValueError):
-        PhaseMarkovModel(a=-0.1, sigma_theta_sq=1.0, sigma_1_sq=1.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            PhaseMarkovModel(a=0.8, sigma_theta_sq=bad, sigma_1_sq=1.0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            PhaseMarkovModel(a=0.8, sigma_theta_sq=1.0, sigma_1_sq=bad)
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            PhaseMarkovModel(a=bad, sigma_theta_sq=1.0, sigma_1_sq=1.0)
 
 
 def test_prior_validation():
-    with pytest.raises(ValueError):
-        BernoulliGaussianPrior(sigma_x_sq=0.0, occupancy=np.full(4, 0.5))
-    with pytest.raises(ValueError):
-        BernoulliGaussianPrior(sigma_x_sq=1.0, occupancy=np.array([0.5, 1.5]))
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            BernoulliGaussianPrior(sigma_x_sq=bad, occupancy=np.full(4, 0.5))
+    for bad in (1.5, np.nan):
+        with pytest.raises(ValueError):
+            BernoulliGaussianPrior(sigma_x_sq=1.0,
+                                   occupancy=np.array([0.5, bad]))
 
 
 class TestPhaseTrajectory:
@@ -197,8 +203,10 @@ class TestSynthesis:
         d = build_dictionary(16, 4.0, default_angle_grid(8))
         truth = GroundTruth(z=np.zeros(8, dtype=complex),
                             support=np.array([]), theta=np.zeros(16))
-        with pytest.raises(ValueError):
-            synthesize_observation(d, truth, -1.0, np.random.default_rng(0))
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                synthesize_observation(d, truth, bad,
+                                       np.random.default_rng(0))
         bad = GroundTruth(z=np.zeros(7, dtype=complex),
                           support=np.array([]), theta=np.zeros(16))
         with pytest.raises(ValueError):

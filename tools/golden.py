@@ -5,7 +5,9 @@
 Runs a fixed list of ``phasedoa`` commands in-process, each in its own
 directory under one temporary directory, and writes one JSON entry per
 command: the sha256 of its stdout, its last stderr line, its exit code and
-the sha256 of every file it wrote. The package is imported from the
+the sha256 of every file it wrote. An exception that escapes ``cli.main``
+is recorded as the command line would show it: exit code 1 and the
+traceback's last line. The package is imported from the
 ``src/`` next to this script, so copying the script into another checkout
 records that checkout. Two records are compared with ``diff`` (the JSON is
 written one entry per line, in run order); a refactoring that should keep
@@ -59,6 +61,14 @@ def _calls():
                   ["estimate", SMALL_OBS, "--variant", "pavbem", "--k", "2",
                    "--diagnostics", "diag.log",
                    "--set", "max_iterations=40"] + SMALL))
+    # the default cap: the run converges before it (at iteration 40)
+    calls.append(("estimate-pavbem-diagnostics-converged",
+                  ["estimate", SMALL_OBS, "--variant", "pavbem", "--k", "2",
+                   "--diagnostics", "diag.log"] + SMALL))
+    # no iterations, so no file
+    calls.append(("estimate-beamforming-diagnostics",
+                  ["estimate", SMALL_OBS, "--variant", "beamforming",
+                   "--k", "2", "--diagnostics", "diag.log"] + SMALL))
     calls.append(("sweep", SWEEP))
     for name, flag, setting in (("k", ["--k", "2"], "k_values=2"),
                                 ("noise-var", ["--noise-var", "0.05"],
@@ -81,6 +91,7 @@ def _calls():
         ("reject-sweep-bad-k", SWEEP + ["--k", "x"]),
         ("reject-sweep-bad-noise-var", SWEEP + ["--noise-var", "x"]),
         ("reject-sweep-empty-noise-grid", SWEEP + ["--set", "noise_grid="]),
+        ("reject-sweep-nan-noise-grid", SWEEP + ["--set", "noise_grid=nan"]),
         ("reject-sweep-noise-grid-spec",
          SWEEP + ["--set", "noise_grid_spec=log:1e-3:1:4"]),
         ("reject-sweep-unknown-algorithm", SWEEP + ["--variant", "music"]),
@@ -91,12 +102,16 @@ def _calls():
          ["simulate", "--output-dir", ".", "--k", "9"] + SMALL),
         ("reject-simulate-negative-k",
          ["simulate", "--output-dir", ".", "--k", "-2"] + SMALL),
+        ("reject-simulate-nan-noise-var",
+         ["simulate", "--output-dir", ".", "--noise-var", "nan"] + SMALL),
         ("reject-estimate-dimension-mismatch", ["estimate", SMALL_OBS]),
         ("reject-estimate-dimension-mismatch-diagnostics",
          ["estimate", SMALL_OBS, "--diagnostics", "diag.log"]),
         ("reject-estimate-bad-noise-var", small_est + ["--noise-var", "x"]),
         ("reject-estimate-negative-noise-var",
          small_est + ["--noise-var", "-1"]),
+        ("reject-estimate-nan-sigma-x-sq",
+         small_est + ["--set", "sigma_x_sq=nan"]),
         ("reject-estimate-unknown-variant",
          small_est + ["--variant", "music"]),
         ("reject-estimate-missing-file", ["estimate", "missing.txt"] + SMALL),
@@ -131,6 +146,9 @@ def _run(argv):
             code = cli.main(argv)
         except SystemExit as exc:  # argparse: --help and usage errors
             code = exc.code
+        except Exception as exc:
+            print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+            code = 1
     lines = err.getvalue().splitlines()
     return {"stdout": _sha(out.getvalue().encode()),
             "stderr": lines[-1] if lines else "", "exit": code}

@@ -5,9 +5,9 @@ All three VBEM variants share one loop. Per outer iteration: (a) update
 q(theta) from the current fitted signal D<z> (compute_eta, smooth), (b)
 form the phase-corrected ybar and sweep every atom, (c) re-estimate
 the noise variance (the M-step). The loop stops once the fitted signal
-settles relative to its own size. The variants differ in two switches
-(_VBEM): the relaxed variant clamps every occupancy to 1; the prVBEM
-baseline additionally drops the Markov phase prior.
+settles relative to its own size, up to a common phase turn. The variants
+differ in two switches (_VBEM): the relaxed variant clamps every occupancy
+to 1; the prVBEM baseline additionally drops the Markov phase prior.
 """
 
 import math
@@ -26,10 +26,10 @@ VARIANTS = ("beamforming", "prvbem", "pavbem_relaxed", "pavbem")
 _VBEM = {"prvbem": (False, False), "pavbem_relaxed": (True, False),
          "pavbem": (True, True)}
 MAX_ITERATIONS = 200  # outer iteration cap, run_estimator's default
-CONVERGENCE_TOL = 1e-4  # max|D<z> change| / max|D<z>| per outer iteration;
-                        # over 100x below the relative noise amplitude
-                        # sqrt(sigma^2/power) of the quietest protocol cell
-                        # (about 0.02)
+CONVERGENCE_TOL = 1e-4  # phase-aligned max|D<z> change| / max|D<z>| per
+                        # outer iteration; over 100x below the relative
+                        # noise amplitude sqrt(sigma^2/power) of the
+                        # quietest protocol cell (about 0.02)
 RELAX_ITERATIONS = 25   # occupancy clamped to 1 for this many leading
                         # iterations (homotopy warm start)
 
@@ -146,10 +146,17 @@ def _vbem(y, dictionary, phase_model, prior, sparse, max_iterations,
 
 
 def _relative_change(new, old):
-    """max|new - old| / max|new|: the change of the fitted signal relative
-    to its size. It ignores the data's units, and mass moving between
-    aliased atoms, which leaves D<z> unchanged. A fit that falls to zero
-    has settled only if it was zero before."""
+    """max|new - e^{j phi} old| / max|new| with phi = arg(old^H new): the
+    change of the fitted signal relative to its size, after the common
+    phase turn that best aligns old with new. The likelihood is unchanged
+    by theta -> theta + phi, z -> z e^{-j phi}, so a fit that only turns
+    as a whole has settled. It ignores the data's units, and mass moving
+    between aliased atoms, which leaves D<z> unchanged. No turn when
+    old^H new = 0. A fit that falls to zero has settled only if it was
+    zero before."""
+    inner = np.vdot(old, new)
+    if inner:
+        old = old * (inner / abs(inner))
     change = float(np.max(np.abs(new - old)))
     size = float(np.max(np.abs(new)))
     if size:
@@ -176,7 +183,9 @@ def run_estimator(variant, y, dictionary, phase_model, prior,
     The estimate's history holds one (noise_var, spike_sum, delta) per
     outer iteration: the sigma^2 after the M-step, the sum of the
     occupancies q(s_i = 1), and the iteration's change of the fitted
-    signal relative to its size, max|D<z>_new - D<z>_old| / max|D<z>_new|.
+    signal relative to its size, after aligning the common phase,
+    max|D<z>_new - e^{j phi} D<z>_old| / max|D<z>_new| with
+    phi = arg(D<z>_old^H D<z>_new).
     iterations_used is its length and final_noise_var its last sigma^2.
     The first RELAX_ITERATIONS iterations, or fewer if delta falls below
     CONVERGENCE_TOL first, clamp every occupancy to 1 (the warm-up); the

@@ -99,14 +99,20 @@ def default_angle_grid(m):
 
 def sample_phase_trajectory(model, n, rng):
     """Draw theta_1..theta_n from the AR(1) chain. Phases are not wrapped;
-    they only ever enter the model through exp(j*theta)."""
+    they only ever enter the model through exp(j*theta). ValueError if the
+    chain overflows, which an explosive a (> 1) does once a^n passes the
+    float range."""
     if n < 1:
         raise ValueError("trajectory length must be >= 1")
     theta = np.empty(n)
     theta[0] = np.sqrt(model.sigma_1_sq) * rng.standard_normal()
     step = np.sqrt(model.sigma_theta_sq)
-    for i in range(1, n):
-        theta[i] = model.a * theta[i - 1] + step * rng.standard_normal()
+    with np.errstate(over="ignore"):
+        for i in range(1, n):
+            theta[i] = model.a * theta[i - 1] + step * rng.standard_normal()
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("phase chain overflows: AR coefficient a=%g is too "
+                         "large for %d sensors" % (model.a, n))
     return theta
 
 

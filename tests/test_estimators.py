@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import phasedoa
 from phasedoa.estimators import (CONVERGENCE_TOL, RELAX_ITERATIONS,
-                                 DoaEstimate, beamforming, extract_support,
-                                 run_estimator)
+                                 DoaEstimate, _relative_change, beamforming,
+                                 extract_support, run_estimator)
+from phasedoa.harness import SweepConfig, draw_trial, trial_rng
 from phasedoa.model import (BernoulliGaussianPrior, GroundTruth,
                             PhaseMarkovModel, build_dictionary,
                             default_angle_grid, sample_phase_trajectory,
@@ -258,6 +259,18 @@ def test_scale_equivariance_property(seed, exponent, variant):
     assert est.iterations_used == base.iterations_used
 
 
+def test_relative_change_ignores_a_common_turn():
+    rng = np.random.default_rng(20)
+    u = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+    # a pure turn of the whole fit is no change
+    assert _relative_change(np.exp(0.3j) * u, u) <= 1e-15
+    # no turn when old and new are orthogonal
+    e0, e1 = np.eye(2, dtype=complex)
+    assert _relative_change(e1, e0) == 1.0
+    assert _relative_change(np.zeros(2), np.zeros(2)) == 0.0
+    assert _relative_change(np.zeros(2), e0) == np.inf
+
+
 def test_stop_rule_is_relative_change_of_fitted_signal():
     rng = np.random.default_rng(19)
     d, prior, _, y = _instance(rng)
@@ -272,7 +285,9 @@ def test_stop_rule_is_relative_change_of_fitted_signal():
                                max_iterations=t).z_hat)
     for t in range(1, 6):
         new, old = d.columns @ z[t], d.columns @ z[t - 1]
-        expected = np.max(np.abs(new - old)) / np.max(np.abs(new))
+        # old turned by the common phase that best aligns it with new
+        turn = np.exp(1j * np.angle(np.vdot(old, new)))
+        expected = np.max(np.abs(new - turn * old)) / np.max(np.abs(new))
         np.testing.assert_allclose(deltas[t - 1], expected, rtol=1e-12)
     # warm-up ends at RELAX_ITERATIONS or at the first small delta; the run
     # ends at the first small delta after that
@@ -281,3 +296,19 @@ def test_stop_rule_is_relative_change_of_fitted_signal():
     stop = next(t for t, delta in enumerate(deltas, 1)
                 if t > handover and delta < CONVERGENCE_TOL)
     assert est.iterations_used == stop
+
+
+@pytest.mark.parametrize("variant", ["pavbem", "pavbem_relaxed", "prvbem"])
+def test_global_phase_gauge(variant):
+    # y -> j y is z -> j z (or theta -> theta + pi/2) in y = P D z + w; the
+    # estimate turns with it, after the same iterations. Not bitwise: the
+    # complex products round differently on the turned inputs.
+    config = SweepConfig(k_values=(5,), noise_grid=(1e-2,))
+    for t in range(10):  # figure-cell draws
+        d, model, prior, _, y = draw_trial(config, 5, 1e-2,
+                                           trial_rng(1234, 0, 0, t))
+        base = run_estimator(variant, y, d, model, prior, noise_var=1e-2)
+        est = run_estimator(variant, 1j * y, d, model, prior, noise_var=1e-2)
+        assert est.iterations_used == base.iterations_used
+        err = np.max(np.abs(est.z_hat - 1j * base.z_hat))
+        assert err <= 1e-13 * np.max(np.abs(base.z_hat))

@@ -128,6 +128,16 @@ class TestPhaseTrajectory:
         assert sample_phase_trajectory(model, 1, rng).shape == (1,)
         with pytest.raises(ValueError):
             sample_phase_trajectory(model, 0, rng)
+        # an explosive chain is drawn while a^n stays in the float range
+        # (5^256 ~ 1e179) and rejected, naming a, once it overflows
+        explosive = PhaseMarkovModel(a=5.0, sigma_theta_sq=1.0,
+                                     sigma_1_sq=1.0)
+        assert np.all(np.isfinite(sample_phase_trajectory(explosive, 256,
+                                                          rng)))
+        overflowing = PhaseMarkovModel(a=20.0, sigma_theta_sq=1.0,
+                                       sigma_1_sq=1.0)
+        with pytest.raises(ValueError, match="AR coefficient a=20"):
+            sample_phase_trajectory(overflowing, 256, rng)
 
 
 class TestGroundTruth:

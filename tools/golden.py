@@ -34,6 +34,7 @@ VARIANTS = ("beamforming", "prvbem", "pavbem_relaxed", "pavbem")
 OBS = "../simulate-1/observation.txt"  # 256 sensors, k=5, sigma^2=0.01
 SMALL = ["--set", "n_sensors=32", "--set", "grid_size=8"]
 SMALL_OBS = "../simulate-small/observation.txt"
+NOISY_OBS = "../simulate-noisy/observation.txt"  # as OBS, sigma^2=0.139
 SWEEP = (["sweep"] + SMALL + ["--set", "k_values=1,2",
                               "--set", "noise_grid=0.1,0.5", "--trials", "2"])
 
@@ -45,6 +46,8 @@ def _calls():
     calls.append(("simulate-small", ["simulate", "--output-dir", ".",
                                      "--seed", "3", "--k", "2",
                                      "--noise-var", "0.05"] + SMALL))
+    calls.append(("simulate-noisy", ["simulate", "--output-dir", ".",
+                                     "--seed", "1", "--noise-var", "0.139"]))
     for v in VARIANTS:
         est = ["estimate", OBS, "--variant", v, "--k", "5"]
         calls += [("estimate-%s" % v, est),
@@ -65,6 +68,11 @@ def _calls():
     calls.append(("estimate-pavbem-diagnostics-converged",
                   ["estimate", SMALL_OBS, "--variant", "pavbem", "--k", "2",
                    "--diagnostics", "diag.log"] + SMALL))
+    # a fit that settles while it keeps turning as a whole: the aligned
+    # delta stops it at iteration 74, an unaligned one would run to the cap
+    calls.append(("estimate-pavbem-aligned-stop",
+                  ["estimate", NOISY_OBS, "--variant", "pavbem", "--k", "5",
+                   "--noise-var", "0.139", "--diagnostics", "diag.log"]))
     # no iterations, so no file
     calls.append(("estimate-beamforming-diagnostics",
                   ["estimate", SMALL_OBS, "--variant", "beamforming",
@@ -104,6 +112,9 @@ def _calls():
          ["simulate", "--output-dir", ".", "--k", "-2"] + SMALL),
         ("reject-simulate-nan-noise-var",
          ["simulate", "--output-dir", ".", "--noise-var", "nan"] + SMALL),
+        # 20^256 passes the float range: the phase chain overflows
+        ("reject-simulate-overflowing-a",
+         ["simulate", "--output-dir", ".", "--set", "a=20"]),
         ("reject-estimate-dimension-mismatch", ["estimate", SMALL_OBS]),
         ("reject-estimate-dimension-mismatch-diagnostics",
          ["estimate", SMALL_OBS, "--diagnostics", "diag.log"]),

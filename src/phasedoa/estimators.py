@@ -4,10 +4,11 @@ baseline with a flat phase prior, and conventional beamforming.
 All three VBEM variants share one loop. Per outer iteration: (a) update
 q(theta) from the current fitted signal D<z> (compute_eta, smooth), (b)
 form the phase-corrected ybar and sweep every atom, (c) re-estimate
-the noise variance (the M-step). The loop stops once the fitted signal
-settles relative to its own size, up to a common phase turn. The variants
-differ in two switches (_VBEM): the relaxed variant clamps every occupancy
-to 1; the prVBEM baseline additionally drops the Markov phase prior.
+the noise variance (the M-step). The loop stops once an iteration
+changes the fitted signal by little relative to its own size, a common
+phase turn not counted. The variants differ in two switches (_VBEM): the
+relaxed variant clamps every occupancy to 1; the prVBEM baseline
+additionally drops the Markov phase prior.
 """
 
 import math
@@ -149,11 +150,12 @@ def _relative_change(new, old):
     """max|new - e^{j phi} old| / max|new| with phi = arg(old^H new): the
     change of the fitted signal relative to its size, after the common
     phase turn that best aligns old with new. The likelihood is unchanged
-    by theta -> theta + phi, z -> z e^{-j phi}, so a fit that only turns
-    as a whole has settled. It ignores the data's units, and mass moving
-    between aliased atoms, which leaves D<z> unchanged. No turn when
-    old^H new = 0. A fit that falls to zero has settled only if it was
-    zero before."""
+    by theta -> theta + phi, z -> z e^{-j phi}, so that turn is not
+    counted as change. A small value says only that this one iteration
+    moved the fit little: a slow run can still be creeping. It ignores
+    the data's units, and mass moving between aliased atoms, which leaves
+    D<z> unchanged. No turn when old^H new = 0. A fit that falls to zero
+    has not changed only if it was zero before."""
     inner = np.vdot(old, new)
     if inner:
         old = old * (inner / abs(inner))

@@ -68,8 +68,8 @@ def _calls():
     calls.append(("estimate-pavbem-diagnostics-converged",
                   ["estimate", SMALL_OBS, "--variant", "pavbem", "--k", "2",
                    "--diagnostics", "diag.log"] + SMALL))
-    # a fit that settles while it keeps turning as a whole: the aligned
-    # delta stops it at iteration 74, an unaligned one would run to the cap
+    # paVBEM on NOISY_OBS: it runs to the cap under an unaligned delta and
+    # stops at iteration 74 under the aligned one
     calls.append(("estimate-pavbem-aligned-stop",
                   ["estimate", NOISY_OBS, "--variant", "pavbem", "--k", "5",
                    "--noise-var", "0.139", "--diagnostics", "diag.log"]))

@@ -1,9 +1,10 @@
 """Bernoulli-Gaussian coefficient updates and the noise M-step.
 
 Each atom i keeps a two-point factor q(s_i) plus the slab conditional
-q(x_i | s_i = 1) = CN(cond_mean_i, cond_var). The variance is one for all
-atoms, because every steering column has d_i^H d_i = N. The posterior mean
-of the amplitude is <z_i> = spike_prob_i * cond_mean_i.
+q(x_i | s_i = 1) = CN(cond_mean_i, cond_var). Every atom shares the prior's
+slab variance and occupancy p, and the posterior variance is one for all
+atoms too, because every steering column has d_i^H d_i = N. The posterior
+mean of the amplitude is <z_i> = spike_prob_i * cond_mean_i.
 """
 
 import math
@@ -23,10 +24,11 @@ class CoefficientPosterior:
 
 
 def initial_posterior(y, dictionary, prior):
-    """Beamforming warm start: cond_mean = (1/N) d_i^H y, spike = p_i."""
+    """Beamforming warm start: cond_mean = (1/N) d_i^H y, spike = p."""
     n = dictionary.n_sensors
     cond_mean = (dictionary.columns.conj().T @ y) / n
-    return CoefficientPosterior(spike_prob=prior.occupancy.copy(),
+    return CoefficientPosterior(spike_prob=np.full(cond_mean.shape[0],
+                                                   prior.occupancy),
                                 cond_mean=cond_mean,
                                 cond_var=float(prior.sigma_x_sq))
 
@@ -49,15 +51,12 @@ def _slab(sigma_x_sq, noise_var, n):
     return gain, cond_var, 0.5 * (math.log(ratio) if ratio else -math.inf)
 
 
-def _spike(cond_mean, cond_var, half_log_ratio, p_i):
-    """q(s_i = 1), the logistic of half_log_ratio + |m|^2/Sigma + logit(p_i).
+def _spike(cond_mean, cond_var, half_log_ratio, logit):
+    """q(s_i = 1), the logistic of half_log_ratio + |m|^2/Sigma + logit,
+    with logit = log(p/(1 - p)) the prior log-odds, 0 < p < 1.
     Runs on Python scalars; where math would raise, the guards give the
-    IEEE results (log 0 = -inf, x/0 = +-inf or nan, x*x overflows to inf).
+    IEEE results (x/0 = +-inf or nan, x*x overflows to inf).
     """
-    if p_i >= 1.0:
-        return 1.0
-    if p_i <= 0.0:
-        return 0.0
     # log-domain: the evidence exponent routinely exceeds 700
     energy = (cond_mean.real * cond_mean.real
               + cond_mean.imag * cond_mean.imag)
@@ -65,7 +64,7 @@ def _spike(cond_mean, cond_var, half_log_ratio, p_i):
         evidence = energy / cond_var
     else:
         evidence = math.inf if energy else math.nan
-    log_odds = half_log_ratio + evidence + math.log(p_i / (1.0 - p_i))
+    log_odds = half_log_ratio + evidence + logit
     if log_odds >= 0:
         return 1.0 / (1.0 + math.exp(-log_odds))
     e = math.exp(log_odds)
@@ -80,9 +79,9 @@ def sweep_atoms(y_bar, posteriors, dictionary, prior, noise_var, fitted):
     already holds. Tracks c = D^H r, every atom's correlation with the
     residual r = ybar - D<z>. Atom i sees d_i^H r_i = c_i + N <z_i>, and
     moving <z_i> by delta moves c by -delta * D^H d_i, row i of the cached
-    dictionary.gram. One O(NM) product and one _slab per sweep (every atom
-    shares the slab variance), then O(M) per atom. The input posterior is
-    left unchanged.
+    dictionary.gram. One O(NM) product, one _slab and one prior log-odds
+    per sweep (every atom shares the slab variance and the occupancy),
+    then O(M) per atom. The input posterior is left unchanged.
     """
     if noise_var <= 0:
         raise ValueError("noise_var must be positive")
@@ -94,13 +93,16 @@ def sweep_atoms(y_bar, posteriors, dictionary, prior, noise_var, fitted):
     c = np.conj(np.conj(residual) @ d)  # D^H r without copying D^H
     spike = posteriors.spike_prob.tolist()
     mean = posteriors.cond_mean.tolist()
-    occupancy = prior.occupancy.tolist()
     gain, cond_var, half_log_ratio = _slab(float(prior.sigma_x_sq),
                                            float(noise_var), n)
+    p = prior.occupancy
+    # p = 0 or 1 fixes every q(s_i = 1) at p, whatever the evidence
+    logit = math.log(p / (1.0 - p)) if 0.0 < p < 1.0 else None
     for i in sweep_order(w).tolist():
         old = spike[i] * mean[i]
         mu = gain * (c.item(i) + n * old)
-        s = _spike(mu, cond_var, half_log_ratio, occupancy[i])
+        s = p if logit is None else _spike(mu, cond_var, half_log_ratio,
+                                           logit)
         spike[i], mean[i] = s, mu
         c -= gram[i] * (s * mu - old)
     return CoefficientPosterior(spike_prob=np.array(spike, dtype=float),

@@ -7,7 +7,7 @@ form the phase-corrected ybar and sweep every atom, (c) re-estimate
 the noise variance (the M-step). The loop stops once an iteration
 changes the fitted signal by little relative to its own size, a common
 phase turn not counted. The variants differ in two switches (_VBEM): the
-relaxed variant clamps every occupancy to 1; the prVBEM baseline
+relaxed variant clamps the occupancy to 1; the prVBEM baseline
 additionally drops the Markov phase prior.
 """
 
@@ -88,10 +88,6 @@ def _vbem(y, dictionary, phase_model, prior, sparse, max_iterations,
           noise_var):
     y = _observation(y, dictionary)
     n = dictionary.n_sensors
-    m = dictionary.columns.shape[1]
-    if prior.occupancy.shape[0] != m:
-        raise ValueError("occupancy length does not match atom count")
-
     power = np.vdot(y, y).real / n
     floor = 1e-8 * power
     tiny = np.finfo(float).tiny
@@ -100,13 +96,11 @@ def _vbem(y, dictionary, phase_model, prior, sparse, max_iterations,
     elif not 0 < noise_var < math.inf:
         raise ValueError("noise_var must be positive")
 
-    post = coef.initial_posterior(y, dictionary, prior)
-    # every occupancy clamped to 1: the whole run of a variant without the
+    # the occupancy clamped to 1: the whole run of a variant without the
     # occupancy, else the warm-up, so that the first phase update sees the
     # full beamforming energy rather than the p-scaled one
-    clamped = BernoulliGaussianPrior(sigma_x_sq=prior.sigma_x_sq,
-                                     occupancy=np.ones(m))
-    post.spike_prob[:] = 1.0
+    clamped = BernoulliGaussianPrior(prior.sigma_x_sq, 1.0)
+    post = coef.initial_posterior(y, dictionary, clamped)
     warm = True
     w = post.z_mean()
     u = dictionary.columns @ w  # the fitted signal D<z>
@@ -172,7 +166,7 @@ def run_estimator(variant, y, dictionary, phase_model, prior,
     """Run the estimator ``variant`` (one of VARIANTS) on the observation y.
 
     - pavbem: the full phase-aware VBEM with the Bernoulli-Gaussian prior.
-    - pavbem_relaxed: the same loop with every occupancy clamped to 1, so
+    - pavbem_relaxed: the same loop with the occupancy clamped to 1, so
       the prior is a plain Gaussian and z_hat_i = cond_mean_i.
     - prvbem: the relaxed loop with a flat phase prior (the Markov prior is
       dropped, so q(theta_n) follows the pseudo-observations alone);
@@ -190,7 +184,7 @@ def run_estimator(variant, y, dictionary, phase_model, prior,
     phi = arg(D<z>_old^H D<z>_new).
     iterations_used is its length and final_noise_var its last sigma^2.
     The first RELAX_ITERATIONS iterations, or fewer if delta falls below
-    CONVERGENCE_TOL first, clamp every occupancy to 1 (the warm-up); the
+    CONVERGENCE_TOL first, clamp the occupancy to 1 (the warm-up); the
     run stops once delta falls below CONVERGENCE_TOL after it.
     So a cap at or below RELAX_ITERATIONS never uses the occupancy prior,
     unless delta falls below CONVERGENCE_TOL before the cap.

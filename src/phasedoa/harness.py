@@ -63,6 +63,10 @@ class SweepConfig:
             raise ValueError("algorithms must be nonempty")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.n_sensors < 1:
+            raise ValueError("n_sensors must be >= 1")
+        if self.grid_size < 1:
+            raise ValueError("grid_size must be >= 1")
         if any(k > self.grid_size for k in self.k_values):
             raise ValueError("k exceeds grid_size")
         for alg in self.algorithms:
@@ -111,9 +115,8 @@ def make_problem(config, k):
                                   default_angle_grid(config.grid_size))
     model = PhaseMarkovModel(a=config.a, sigma_theta_sq=config.sigma_theta_sq,
                              sigma_1_sq=config.sigma_1_sq)
-    occupancy = np.full(config.grid_size, k / config.grid_size)
     prior = BernoulliGaussianPrior(sigma_x_sq=config.sigma_x_sq,
-                                   occupancy=occupancy)
+                                   occupancy=k / config.grid_size)
     return dictionary, model, prior
 
 
@@ -122,7 +125,7 @@ def draw_trial(config, k, noise_var, rng):
     """make_problem plus one draw from it: (dictionary, model, prior,
     truth, y). The synthesis D z runs on one BLAS thread."""
     dictionary, model, prior = make_problem(config, k)
-    truth = sample_ground_truth(prior, k, rng)
+    truth = sample_ground_truth(prior, config.grid_size, k, rng)
     if config.phase_noise:
         truth.theta = sample_phase_trajectory(model, config.n_sensors, rng)
     else:

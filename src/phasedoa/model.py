@@ -21,7 +21,6 @@ class SteeringDictionary:
     """
 
     n_sensors: int
-    spacing_ratio: float
     angles: np.ndarray
     columns: np.ndarray
 
@@ -51,17 +50,18 @@ class PhaseMarkovModel:
 
 @dataclass
 class BernoulliGaussianPrior:
-    """Spike-and-slab prior on the source amplitudes."""
+    """Spike-and-slab prior on the source amplitudes. Every atom shares
+    the slab variance and the occupancy."""
 
     sigma_x_sq: float
-    occupancy: np.ndarray  # p_i in [0, 1], one per atom
+    occupancy: float  # p = P(s_i = 1) in [0, 1], the same for every atom
 
     def __post_init__(self):
-        self.occupancy = np.asarray(self.occupancy, dtype=float)
         if not 0 < self.sigma_x_sq < np.inf:
             raise ValueError("sigma_x_sq must lie in (0, inf)")
-        if not np.all((self.occupancy >= 0) & (self.occupancy <= 1)):
-            raise ValueError("occupancy probabilities must lie in [0, 1]")
+        if np.ndim(self.occupancy) or not 0 <= self.occupancy <= 1:
+            raise ValueError("occupancy must be one probability in [0, 1]")
+        self.occupancy = float(self.occupancy)
 
 
 @dataclass
@@ -87,7 +87,7 @@ def build_dictionary(n_sensors, spacing_ratio, angles):
         raise ValueError("angles must lie in [-pi/2, pi/2]")
     sensors = np.arange(1, n_sensors + 1)
     columns = np.exp(2j * np.pi * spacing_ratio * np.outer(sensors, np.sin(angles)))
-    return SteeringDictionary(int(n_sensors), float(spacing_ratio), angles, columns)
+    return SteeringDictionary(int(n_sensors), angles, columns)
 
 
 def default_angle_grid(m):
@@ -116,10 +116,10 @@ def sample_phase_trajectory(model, n, rng):
     return theta
 
 
-def sample_ground_truth(prior, k, rng):
-    """Draw a k-sparse amplitude vector: support uniform without replacement,
-    amplitudes circular complex Gaussian with variance sigma_x_sq."""
-    m = prior.occupancy.shape[0]
+def sample_ground_truth(prior, m, k, rng):
+    """Draw a k-sparse amplitude vector over m atoms: support uniform
+    without replacement, amplitudes circular complex Gaussian with variance
+    sigma_x_sq."""
     if not 0 <= k <= m:
         raise ValueError("k must satisfy 0 <= k <= number of atoms")
     support = np.sort(rng.choice(m, size=k, replace=False))

@@ -48,7 +48,8 @@ def smooth(pseudo, model):
 
     The recursions run on Python floats (per-element numpy indexing costs
     more than the arithmetic); IEEE double arithmetic in the same order
-    gives the same bits as the array form.
+    gives the same bits as the array form. A ValueError naming the chain's
+    parameters reports a posterior variance outside (0, inf).
     """
     v = np.asarray(pseudo.values, dtype=float)
     lam = np.asarray(pseudo.precisions, dtype=float)
@@ -84,7 +85,15 @@ def smooth(pseudo, model):
         m_s = m_filt + c * (m_s - a * m_filt)
         p_s = p_filt + c * c * (p_s - p_pred)
         mf[t], pf[t] = m_s, p_s
-    return _with_moments(np.array(mf), np.array(pf))
+    try:
+        return _with_moments(np.array(mf), np.array(pf))
+    except ValueError as exc:
+        # a*a or a variance past the float range (inf, then nan), or a gain
+        # that rounds to 1 (a zero variance)
+        raise ValueError(
+            "phase chain out of floating-point range: a=%g, "
+            "sigma_theta_sq=%g, sigma_1_sq=%g (%s)"
+            % (a, st, model.sigma_1_sq, exc)) from exc
 
 
 def noninformative_posterior(pseudo):

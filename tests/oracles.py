@@ -21,8 +21,9 @@ def copy_posterior(posteriors):
 def update_atom(i, y_bar, posteriors, dictionary, prior, noise_var):
     """Recompute the factor of atom i against the residual left by all
     other atoms, r_i = ybar - sum_{k != i} <z_k> d_k, and its slab factor
-    from the column's own d_i^H d_i. Returns a new CoefficientPosterior
-    with entry i and the slab variance replaced."""
+    from the column's own d_i^H d_i. The occupancy p of 0 or 1 fixes
+    q(s_i = 1) at p. Returns a new CoefficientPosterior with entry i and
+    the slab variance replaced."""
     if noise_var <= 0:
         raise ValueError("noise_var must be positive")
     d = dictionary.columns
@@ -34,7 +35,10 @@ def update_atom(i, y_bar, posteriors, dictionary, prior, noise_var):
     gain, var, half_log_ratio = _slab(prior.sigma_x_sq, noise_var, dd)
     mean = gain * dhr
     out = copy_posterior(posteriors)
-    out.spike_prob[i] = _spike(mean, var, half_log_ratio, prior.occupancy[i])
+    p = prior.occupancy
+    out.spike_prob[i] = (_spike(mean, var, half_log_ratio,
+                                np.log(p / (1.0 - p)))
+                         if 0.0 < p < 1.0 else p)
     out.cond_mean[i] = mean
     out.cond_var = var
     return out

@@ -235,9 +235,8 @@ def test_criterion_08_variant_collapse_bitwise():
         d = build_dictionary(n, 4.0, default_angle_grid(m))
         y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
-        ones = BernoulliGaussianPrior(sigma_x_sq=1.0, occupancy=np.ones(m))
-        prior = BernoulliGaussianPrior(sigma_x_sq=1.0,
-                                       occupancy=np.full(m, 1 / m))
+        ones = BernoulliGaussianPrior(sigma_x_sq=1.0, occupancy=1.0)
+        prior = BernoulliGaussianPrior(sigma_x_sq=1.0, occupancy=1 / m)
         a = run_estimator("pavbem", y, d, PROTOCOL_MODEL, ones,
                           max_iterations=cap)
         b = run_estimator("pavbem_relaxed", y, d, PROTOCOL_MODEL, prior,
@@ -262,8 +261,7 @@ def test_criterion_08_variant_collapse_bitwise():
 
 def test_criterion_09_exact_recovery_sanity():
     d = build_dictionary(256, SANITY_SPACING, default_angle_grid(50))
-    prior = BernoulliGaussianPrior(sigma_x_sq=1.0,
-                                   occupancy=np.full(50, 1 / 50))
+    prior = BernoulliGaussianPrior(sigma_x_sq=1.0, occupancy=1 / 50)
     hits = 0
     corrs = []
     for t in range(50):

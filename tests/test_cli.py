@@ -256,6 +256,10 @@ def test_sweep_emits_one_file_per_k(tmp_path):
     ("sweep", "--noise-var x", "bad value for noise_grid"),
     ("sweep", "noise_grid=nan", "noise_grid must be nonempty and positive"),
     ("estimate", "--noise-var x", "bad value for initial_noise_var"),
+    ("simulate", "n_sensors=0", "n_sensors must be >= 1"),
+    ("sweep", "n_sensors=0", "n_sensors must be >= 1"),
+    ("sweep", "grid_size=0", "grid_size must be >= 1"),
+    ("estimate", "grid_size=0", "grid_size must be >= 1"),
 ])
 def test_invalid_setting_is_usage_error(tmp_path, capsys, command, setting,
                                         reason):
@@ -263,7 +267,7 @@ def test_invalid_setting_is_usage_error(tmp_path, capsys, command, setting,
         obs, _ = _simulate(tmp_path)
         args = ["estimate", obs]
     else:
-        args = ["sweep", "--output-dir", str(tmp_path)]
+        args = [command, "--output-dir", str(tmp_path)]
     # a setting is a config assignment or a flag with its value
     extra = setting.split() if setting.startswith("--") else ["--set", setting]
     assert main(args + SMALL + extra) == 2

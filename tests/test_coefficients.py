@@ -1,5 +1,7 @@
 """Tests for the spike-and-slab coefficient updates and the noise M-step."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from oracles import copy_posterior, update_atom
 def _random_setup(rng, n=32, m=8):
     d = build_dictionary(n, 4.0, default_angle_grid(m))
     prior = BernoulliGaussianPrior(sigma_x_sq=1.5,
-                                   occupancy=rng.uniform(0.05, 0.9, m))
+                                   occupancy=rng.uniform(0.05, 0.9))
     y_bar = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     post = CoefficientPosterior(
         spike_prob=rng.uniform(0.0, 1.0, m),
@@ -28,12 +30,12 @@ def _random_setup(rng, n=32, m=8):
 def test_initial_posterior_is_beamformer():
     rng = np.random.default_rng(0)
     d = build_dictionary(16, 4.0, default_angle_grid(6))
-    prior = BernoulliGaussianPrior(1.0, np.full(6, 0.3))
+    prior = BernoulliGaussianPrior(1.0, 0.3)
     y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     post = initial_posterior(y, d, prior)
     np.testing.assert_allclose(post.cond_mean, d.columns.conj().T @ y / 16,
                                rtol=1e-14)
-    np.testing.assert_array_equal(post.spike_prob, prior.occupancy)
+    np.testing.assert_array_equal(post.spike_prob, np.full(6, 0.3))
     assert isinstance(post.cond_var, float) and post.cond_var == 1.0
 
 
@@ -53,7 +55,7 @@ def test_update_atom_single_atom_hand_values():
     # sigma^2 = 0.01 the slab mean is N/(N + 0.01) and the slab variance
     # 0.01/(N + 0.01)
     d = build_dictionary(256, 4.0, np.array([0.2]))
-    prior = BernoulliGaussianPrior(1.0, np.array([0.5]))
+    prior = BernoulliGaussianPrior(1.0, 0.5)
     post = CoefficientPosterior(spike_prob=np.zeros(1),
                                 cond_mean=np.zeros(1, dtype=complex),
                                 cond_var=np.ones(1))
@@ -70,17 +72,27 @@ def test_update_atom_respects_degenerate_priors():
                                 cond_mean=np.zeros(2, dtype=complex),
                                 cond_var=np.ones(2))
     y_bar = d.columns[:, 0] * 2.0
-    on = BernoulliGaussianPrior(1.0, np.array([1.0, 1.0]))
-    off = BernoulliGaussianPrior(1.0, np.array([0.0, 0.0]))
+    on = BernoulliGaussianPrior(1.0, 1.0)
+    off = BernoulliGaussianPrior(1.0, 0.0)
     assert update_atom(0, y_bar, post, d, on, 0.1).spike_prob[0] == 1.0
     assert update_atom(0, y_bar, post, d, off, 0.1).spike_prob[0] == 0.0
+    # the sweep fixes every q(s_i = 1) at p, whatever the evidence: data on
+    # one atom, none at all, and evidence that overflows the log-odds
+    fitted = d.columns @ post.z_mean()
+    for prior in (on, off):
+        for data in (y_bar, np.zeros(32, dtype=complex),
+                     d.columns[:, 1] * 1e200):
+            for noise_var in (0.1, np.finfo(float).tiny):
+                out = sweep_atoms(data, post, d, prior, noise_var, fitted)
+                np.testing.assert_array_equal(out.spike_prob,
+                                              np.full(2, prior.occupancy))
 
 
 def test_update_atom_no_overflow_on_strong_evidence():
     # the log-odds exponent here is around |m|^2/Sigma ~ 1e6; the logistic
     # must saturate without a warning
     d = build_dictionary(64, 4.0, np.array([0.3]))
-    prior = BernoulliGaussianPrior(1.0, np.array([0.5]))
+    prior = BernoulliGaussianPrior(1.0, 0.5)
     post = CoefficientPosterior(spike_prob=np.zeros(1),
                                 cond_mean=np.zeros(1, dtype=complex),
                                 cond_var=np.ones(1))
@@ -121,7 +133,7 @@ def _protocol_setup(rng):
     duplicate columns, the hard case for a Gram-form residual."""
     d = build_dictionary(256, 4.0, default_angle_grid(50))
     prior = BernoulliGaussianPrior(sigma_x_sq=1.0,
-                                   occupancy=rng.uniform(0.05, 0.9, 50))
+                                   occupancy=rng.uniform(0.05, 0.9))
     y_bar = rng.standard_normal(256) + 1j * rng.standard_normal(256)
     post = CoefficientPosterior(
         spike_prob=rng.uniform(0.0, 1.0, 50),
@@ -201,7 +213,7 @@ def test_atom_update_extremes(dhr, sigma_x_sq, noise_var, expected):
         with np.errstate(all="ignore"):
             gain, var, half_log_ratio = _slab(sigma_x_sq, noise_var, 256)
             mean = gain * value
-            spike = _spike(mean, var, half_log_ratio, 0.1)
+            spike = _spike(mean, var, half_log_ratio, math.log(0.1 / 0.9))
         np.testing.assert_array_equal([spike, var], [expected[0], expected[2]])
         assert mean == expected[1]
 

@@ -20,7 +20,7 @@ MODEL = PhaseMarkovModel(a=0.8, sigma_theta_sq=1.0, sigma_1_sq=1e6)
 
 def _instance(rng, n=32, m=8, k=2, noise_var=0.01, spacing=2.2):
     d = build_dictionary(n, spacing, default_angle_grid(m))
-    prior = BernoulliGaussianPrior(sigma_x_sq=1.0, occupancy=np.full(m, k / m))
+    prior = BernoulliGaussianPrior(sigma_x_sq=1.0, occupancy=k / m)
     support = np.sort(rng.choice(m, size=k, replace=False))
     z = np.zeros(m, dtype=complex)
     z[support] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
@@ -32,7 +32,7 @@ def _instance(rng, n=32, m=8, k=2, noise_var=0.01, spacing=2.2):
 
 def test_zero_observation_converges_immediately():
     d = build_dictionary(16, 4.0, default_angle_grid(8))
-    prior = BernoulliGaussianPrior(1.0, np.full(8, 0.25))
+    prior = BernoulliGaussianPrior(1.0, 0.25)
     est = run_estimator("pavbem", np.zeros(16, dtype=complex), d, MODEL,
                         prior)
     assert est.converged
@@ -42,7 +42,7 @@ def test_zero_observation_converges_immediately():
 
 def test_noiseless_single_source_recovery():
     d = build_dictionary(64, 1.5, default_angle_grid(16))
-    prior = BernoulliGaussianPrior(1.0, np.full(16, 1 / 16))
+    prior = BernoulliGaussianPrior(1.0, 1 / 16)
     z = np.zeros(16, dtype=complex)
     z[7] = 1.0 - 0.5j
     truth = GroundTruth(z=z, support=np.array([7]), theta=np.zeros(64))
@@ -70,7 +70,7 @@ def test_determinism_bitwise():
 def test_variant_collapse_occupancy_one():
     rng = np.random.default_rng(9)
     d, prior, _, y = _instance(rng)
-    ones = BernoulliGaussianPrior(sigma_x_sq=1.0, occupancy=np.ones(8))
+    ones = BernoulliGaussianPrior(sigma_x_sq=1.0, occupancy=1.0)
     a = run_estimator("pavbem", y, d, MODEL, ones)
     b = run_estimator("pavbem_relaxed", y, d, MODEL, prior)
     np.testing.assert_array_equal(a.z_hat, b.z_hat)
@@ -159,7 +159,7 @@ class TestExtractSupport:
 
 def test_config_validation():
     d = build_dictionary(16, 4.0, default_angle_grid(4))
-    prior = BernoulliGaussianPrior(1.0, np.full(4, 0.5))
+    prior = BernoulliGaussianPrior(1.0, 0.5)
     for variant in ("pavbem", "pavbem_relaxed", "prvbem"):
         with pytest.raises(ValueError, match="^max_iterations must be >= 1$"):
             run_estimator(variant, np.ones(16, dtype=complex), d, MODEL,
@@ -168,7 +168,7 @@ def test_config_validation():
 
 def test_initial_noise_var_validation():
     d = build_dictionary(16, 4.0, default_angle_grid(4))
-    prior = BernoulliGaussianPrior(1.0, np.full(4, 0.5))
+    prior = BernoulliGaussianPrior(1.0, 0.5)
     for bad in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="^noise_var must be positive$"):
             run_estimator("pavbem", np.ones(16, dtype=complex), d, MODEL,
@@ -177,7 +177,7 @@ def test_initial_noise_var_validation():
 
 def test_observation_length_checked():
     d = build_dictionary(16, 4.0, default_angle_grid(4))
-    prior = BernoulliGaussianPrior(1.0, np.full(4, 0.5))
+    prior = BernoulliGaussianPrior(1.0, 0.5)
     with pytest.raises(ValueError):
         run_estimator("pavbem", np.ones(15, dtype=complex), d, MODEL, prior)
 

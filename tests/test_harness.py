@@ -142,6 +142,11 @@ def test_sweep_config_validation():
         SweepConfig(algorithms=("beamforming", "music"))
     with pytest.raises(ValueError, match="k exceeds grid_size"):
         SweepConfig(k_values=(2, 51))
+    with pytest.raises(ValueError, match="n_sensors must be >= 1"):
+        SweepConfig(n_sensors=0)
+    for k_values in ((2, 5), (0,)):
+        with pytest.raises(ValueError, match="grid_size must be >= 1"):
+            SweepConfig(grid_size=0, k_values=k_values)
     with pytest.raises(ValueError, match="k_values must be nonempty"):
         SweepConfig(k_values=())
     with pytest.raises(ValueError, match="k_values must be nonempty"):

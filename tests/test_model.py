@@ -87,11 +87,15 @@ def test_phase_model_validation():
 def test_prior_validation():
     for bad in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError):
-            BernoulliGaussianPrior(sigma_x_sq=bad, occupancy=np.full(4, 0.5))
-    for bad in (1.5, np.nan):
-        with pytest.raises(ValueError):
-            BernoulliGaussianPrior(sigma_x_sq=1.0,
-                                   occupancy=np.array([0.5, bad]))
+            BernoulliGaussianPrior(sigma_x_sq=bad, occupancy=0.5)
+    for bad in (1.5, -0.1, np.nan):
+        with pytest.raises(ValueError, match="occupancy"):
+            BernoulliGaussianPrior(sigma_x_sq=1.0, occupancy=bad)
+    # every atom shares one occupancy: a per-atom array is rejected by name
+    with pytest.raises(ValueError, match="occupancy"):
+        BernoulliGaussianPrior(sigma_x_sq=1.0, occupancy=np.full(4, 0.5))
+    for edge in (0.0, 1.0):
+        assert BernoulliGaussianPrior(1.0, edge).occupancy == edge
 
 
 class TestPhaseTrajectory:
@@ -142,34 +146,35 @@ class TestPhaseTrajectory:
 
 class TestGroundTruth:
     def test_k_zero(self):
-        prior = BernoulliGaussianPrior(1.0, np.full(10, 0.2))
-        truth = sample_ground_truth(prior, 0, np.random.default_rng(0))
+        prior = BernoulliGaussianPrior(1.0, 0.2)
+        truth = sample_ground_truth(prior, 10, 0, np.random.default_rng(0))
         assert truth.support.size == 0
         np.testing.assert_array_equal(truth.z, np.zeros(10))
 
     def test_full_support(self):
-        prior = BernoulliGaussianPrior(1.0, np.full(6, 0.5))
-        truth = sample_ground_truth(prior, 6, np.random.default_rng(1))
+        prior = BernoulliGaussianPrior(1.0, 0.5)
+        truth = sample_ground_truth(prior, 6, 6, np.random.default_rng(1))
         np.testing.assert_array_equal(truth.support, np.arange(6))
         assert np.all(truth.z != 0)
 
     def test_support_sorted_unique(self):
-        prior = BernoulliGaussianPrior(1.0, np.full(50, 0.1))
-        truth = sample_ground_truth(prior, 5, np.random.default_rng(2))
+        prior = BernoulliGaussianPrior(1.0, 0.1)
+        truth = sample_ground_truth(prior, 50, 5, np.random.default_rng(2))
         assert np.all(np.diff(truth.support) > 0)
         off = np.setdiff1d(np.arange(50), truth.support)
         np.testing.assert_array_equal(truth.z[off], 0)
 
     def test_amplitude_second_moment(self):
-        prior = BernoulliGaussianPrior(2.0, np.full(40, 1.0))
+        prior = BernoulliGaussianPrior(2.0, 1.0)
         rng = np.random.default_rng(5)
-        draws = [sample_ground_truth(prior, 40, rng).z for _ in range(500)]
+        draws = [sample_ground_truth(prior, 40, 40, rng).z
+                 for _ in range(500)]
         np.testing.assert_allclose(np.mean(np.abs(draws) ** 2), 2.0, rtol=0.05)
 
     def test_k_out_of_range(self):
-        prior = BernoulliGaussianPrior(1.0, np.full(4, 0.5))
+        prior = BernoulliGaussianPrior(1.0, 0.5)
         with pytest.raises(ValueError):
-            sample_ground_truth(prior, 5, np.random.default_rng(0))
+            sample_ground_truth(prior, 4, 5, np.random.default_rng(0))
 
 
 class TestSynthesis:
@@ -200,11 +205,11 @@ class TestSynthesis:
 
     def test_determinism(self):
         d = build_dictionary(16, 4.0, default_angle_grid(8))
-        prior = BernoulliGaussianPrior(1.0, np.full(8, 0.25))
+        prior = BernoulliGaussianPrior(1.0, 0.25)
         ys = []
         for _ in range(2):
             rng = np.random.default_rng(42)
-            truth = sample_ground_truth(prior, 2, rng)
+            truth = sample_ground_truth(prior, 8, 2, rng)
             truth.theta = np.zeros(16)
             ys.append(synthesize_observation(d, truth, 0.1, rng))
         np.testing.assert_array_equal(ys[0], ys[1])

@@ -5,6 +5,7 @@ reference the Kalman/RTS recursion must reproduce.
 """
 
 import decimal
+import re
 
 import numpy as np
 import pytest
@@ -244,6 +245,23 @@ class TestSmoother:
         pseudo = PseudoObservations(values=np.array([0.0, np.nan]),
                                     precisions=np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
+            smooth(pseudo, model)
+
+    @pytest.mark.parametrize("a, sigma_theta_sq, sigma_1_sq", [
+        (1e300, 1.0, 1e6),   # a*a overflows
+        (1e154, 1.0, 1e6),   # a*a finite, the predicted variance overflows
+        (0.8, 1e300, 1e6),   # the gain rounds to 1: zero variances
+        (0.8, 1.0, 1e300),
+    ])
+    def test_out_of_range_chain_names_its_parameters(self, a, sigma_theta_sq,
+                                                     sigma_1_sq):
+        model = PhaseMarkovModel(a=a, sigma_theta_sq=sigma_theta_sq,
+                                 sigma_1_sq=sigma_1_sq)
+        pseudo = PseudoObservations(values=np.full(32, 0.3),
+                                    precisions=np.full(32, 50.0))
+        names = re.escape("a=%g, sigma_theta_sq=%g, sigma_1_sq=%g"
+                          % (a, sigma_theta_sq, sigma_1_sq))
+        with pytest.raises(ValueError, match=names):
             smooth(pseudo, model)
 
     def test_moments_consistent_with_marginals(self):

@@ -87,7 +87,12 @@ def _calls():
                   ("sweep-set-%s" % name, SWEEP + ["--set", setting])]
     calls += [("sweep-flag-k-list", SWEEP + ["--k", "1,2"]),
               # the pool path: its files must equal those of "sweep"
-              ("sweep-workers-2", SWEEP + ["--workers", "2"])]
+              ("sweep-workers-2", SWEEP + ["--workers", "2"]),
+              # occupancy k/M = 0 and 1 through the sparse updates
+              ("sweep-k-edges",
+               ["sweep"] + SMALL + ["--set", "k_values=0,8",
+                                    "--set", "noise_grid=0.1",
+                                    "--trials", "1"])]
     for command in ("", "simulate", "estimate", "sweep"):
         calls.append(("help-%s" % (command or "top"),
                       ([command] if command else []) + ["--help"]))
@@ -106,12 +111,16 @@ def _calls():
         ("reject-sweep-empty-algorithms", SWEEP + ["--set", "algorithms="]),
         ("reject-sweep-workers-0", SWEEP + ["--workers", "0"]),
         ("reject-sweep-max-iterations", SWEEP + ["--set", "max_iterations=0"]),
+        ("reject-sweep-zero-grid-size", SWEEP + ["--set", "grid_size=0"]),
         ("reject-simulate-k-too-large",
          ["simulate", "--output-dir", ".", "--k", "9"] + SMALL),
         ("reject-simulate-negative-k",
          ["simulate", "--output-dir", ".", "--k", "-2"] + SMALL),
         ("reject-simulate-nan-noise-var",
          ["simulate", "--output-dir", ".", "--noise-var", "nan"] + SMALL),
+        ("reject-simulate-zero-sensors",
+         ["simulate", "--output-dir", "."] + SMALL
+         + ["--set", "n_sensors=0"]),
         # 20^256 passes the float range: the phase chain overflows
         ("reject-simulate-overflowing-a",
          ["simulate", "--output-dir", ".", "--set", "a=20"]),
@@ -123,6 +132,8 @@ def _calls():
          small_est + ["--noise-var", "-1"]),
         ("reject-estimate-nan-sigma-x-sq",
          small_est + ["--set", "sigma_x_sq=nan"]),
+        # a*a overflows in the phase smoother
+        ("reject-estimate-overflowing-a", small_est + ["--set", "a=1e300"]),
         ("reject-estimate-unknown-variant",
          small_est + ["--variant", "music"]),
         ("reject-estimate-missing-file", ["estimate", "missing.txt"] + SMALL),

@@ -21,11 +21,11 @@ from . import phase as ph
 from .blas import one_blas_thread
 from .model import BernoulliGaussianPrior
 
-# every estimator, in the column order of the sweep tables
-VARIANTS = ("beamforming", "prvbem", "pavbem_relaxed", "pavbem")
 # VBEM variant -> (Markov phase prior kept, Bernoulli-Gaussian occupancy used)
 _VBEM = {"prvbem": (False, False), "pavbem_relaxed": (True, False),
          "pavbem": (True, True)}
+# every estimator, in the column order of the sweep tables
+VARIANTS = ("beamforming", *_VBEM)
 MAX_ITERATIONS = 200  # outer iteration cap, run_estimator's default
 CONVERGENCE_TOL = 1e-4  # phase-aligned max|D<z> change| / max|D<z>| per
                         # outer iteration; over 100x below the relative
@@ -78,10 +78,10 @@ def _observation(y, dictionary):
 
 def extract_support(estimate, k):
     """Indices of the k largest |z_hat_i|, ties broken toward the lower
-    index."""
+    index (the first k atoms of coefficients.sweep_order)."""
     if not 1 <= k <= estimate.z_hat.shape[0]:
         raise ValueError("k must satisfy 1 <= k <= number of atoms")
-    return np.argsort(-np.abs(estimate.z_hat), kind="stable")[:k]
+    return coef.sweep_order(estimate.z_hat)[:k]
 
 
 def _vbem(y, dictionary, phase_model, prior, sparse, max_iterations,

@@ -79,7 +79,6 @@ class TrialRecord:
     k: int
     noise_var: float
     trial_index: int
-    seed_key: tuple
     correlations: dict  # algorithm -> value, NaN where the run failed
     iterations: dict
     runtimes: dict
@@ -163,8 +162,6 @@ def run_trial(config, k_index, noise_index, trial_index):
             iterations[alg] = 0
         runtimes[alg] = time.perf_counter() - start
     return TrialRecord(k=k, noise_var=noise_var, trial_index=trial_index,
-                       seed_key=(config.base_seed, k_index, noise_index,
-                                 trial_index),
                        correlations=correlations, iterations=iterations,
                        runtimes=runtimes)
 

@@ -9,8 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasedoa.cli import main
-from phasedoa.config import SCHEMA
+from phasedoa.cli import SCHEMA, main
 from phasedoa.harness import SweepConfig, draw_trial, trial_rng
 from phasedoa.io import (load_ground_truth, load_observation,
                          save_observation)
@@ -146,6 +145,12 @@ def test_estimate_loads_no_scipy(tmp_path):
     assert out.splitlines()[-1] == "[]"
 
 
+def test_bad_setting_is_reported_before_the_file_is_read(tmp_path, capsys):
+    assert main(["estimate", str(tmp_path / "nope.txt"), "--set", "a=-1"]
+                + SMALL) == 2
+    assert "config error: AR coefficient a" in capsys.readouterr().err
+
+
 def test_estimate_missing_file(tmp_path, capsys):
     assert main(["estimate", str(tmp_path / "nope.txt")] + SMALL) == 1
 
@@ -260,6 +265,26 @@ def test_sweep_emits_one_file_per_k(tmp_path):
     ("sweep", "n_sensors=0", "n_sensors must be >= 1"),
     ("sweep", "grid_size=0", "grid_size must be >= 1"),
     ("estimate", "grid_size=0", "grid_size must be >= 1"),
+    # values that only the model, the seed sequence or the support
+    # extraction rejects, reported before any file is read or trial is run
+    ("estimate", "a=-1", "AR coefficient a must lie in [0, inf)"),
+    ("sweep", "a=-1", "AR coefficient a must lie in [0, inf)"),
+    ("estimate", "sigma_theta_sq=0",
+     "phase model variances must lie in (0, inf)"),
+    ("sweep", "sigma_theta_sq=0",
+     "phase model variances must lie in (0, inf)"),
+    ("estimate", "sigma_1_sq=inf",
+     "phase model variances must lie in (0, inf)"),
+    ("sweep", "sigma_1_sq=inf", "phase model variances must lie in (0, inf)"),
+    ("estimate", "sigma_x_sq=0", "sigma_x_sq must lie in (0, inf)"),
+    ("sweep", "sigma_x_sq=0", "sigma_x_sq must lie in (0, inf)"),
+    ("estimate", "spacing_ratio=nan", "spacing_ratio must be finite"),
+    ("sweep", "spacing_ratio=nan", "spacing_ratio must be finite"),
+    ("simulate", "--noise-var -1", "noise variance must lie in [0, inf)"),
+    ("simulate", "--seed -1", "expected non-negative integer"),
+    ("sweep", "--seed -1", "expected non-negative integer"),
+    ("estimate", "--noise-var -1", "bad value for initial_noise_var"),
+    ("estimate", "--k 0", "k must satisfy 1 <= k <= number of atoms"),
 ])
 def test_invalid_setting_is_usage_error(tmp_path, capsys, command, setting,
                                         reason):

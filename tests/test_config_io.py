@@ -7,15 +7,21 @@ import stat
 import numpy as np
 import pytest
 
-from phasedoa.config import (SCHEMA, ConfigError, coerce, defaults,
-                             help_lines, parse_config)
+from phasedoa.cli import (SCHEMA, ConfigError, _build_parser, _coerce,
+                          _defaults, _help_lines, _load_values)
 from phasedoa.harness import SweepConfig
 from phasedoa.io import (load_ground_truth, load_observation, read_dat,
                          save_ground_truth, save_observation, write_dat)
 
 
+def parse_config(path, *argv):
+    """The config values of ``phasedoa sweep --config path *argv``."""
+    return _load_values(_build_parser().parse_args(
+        ["sweep", "--config", path, *argv]))
+
+
 def test_defaults_cover_schema():
-    values = defaults()
+    values = _defaults()
     assert set(values) == set(SCHEMA)
     assert values["n_sensors"] == 256
     assert values["grid_size"] == 50
@@ -25,7 +31,7 @@ def test_defaults_cover_schema():
 
 
 def test_defaults_match_sweep_config():
-    values = defaults()
+    values = _defaults()
     sweep = SweepConfig()
     for f in dataclasses.fields(SweepConfig):
         if f.name == "base_seed":  # the seed key
@@ -56,6 +62,17 @@ def test_parse_config_file(tmp_path):
     assert values["grid_size"] == 50
 
 
+def test_set_overrides_config_file(tmp_path):
+    # one reader for both: a --set line is read as a file line is, and wins
+    path = tmp_path / "run.cfg"
+    path.write_text("k = 2\nn_sensors = 64\n")
+    values = parse_config(str(path), "--set", " k = 3 ")
+    assert values["k"] == 3
+    assert values["n_sensors"] == 64
+    with pytest.raises(ConfigError, match="--set expects KEY=VALUE, got 'k'"):
+        parse_config(str(path), "--set", "k")
+
+
 def test_parse_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("n_sensor = 64\n")
@@ -65,8 +82,8 @@ def test_parse_config_rejects_unknown_key(tmp_path):
 
 def test_parse_config_rejects_bad_syntax(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("just a line\n")
-    with pytest.raises(ConfigError, match="key = value"):
+    path.write_text("# header\n\njust a line\n")
+    with pytest.raises(ConfigError, match=r"bad.cfg:3: expected key = value"):
         parse_config(str(path))
 
 
@@ -76,19 +93,19 @@ def test_parse_config_missing_file():
 
 
 def test_coerce_types():
-    assert coerce("n_sensors", "128") == 128
-    assert coerce("phase_noise", "yes") is True
-    assert coerce("initial_noise_var", "auto") is None
-    assert coerce("initial_noise_var", "0.5") == 0.5
-    assert coerce("k_values", "2,5") == (2, 5)
+    assert _coerce("n_sensors", "128") == 128
+    assert _coerce("phase_noise", "yes") is True
+    assert _coerce("initial_noise_var", "auto") is None
+    assert _coerce("initial_noise_var", "0.5") == 0.5
+    assert _coerce("k_values", "2,5") == (2, 5)
     with pytest.raises(ConfigError, match="n_sensors"):
-        coerce("n_sensors", "many")
+        _coerce("n_sensors", "many")
     with pytest.raises(ConfigError, match="unknown config key"):
-        coerce("sensors", "5")
+        _coerce("sensors", "5")
 
 
 def test_help_lines_cover_every_key():
-    text = "\n".join(help_lines())
+    text = "\n".join(_help_lines())
     for key in SCHEMA:
         assert key in text
 

@@ -1,5 +1,8 @@
 """Tests for the estimator front ends and the shared VBEM loop."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -223,6 +226,18 @@ def test_run_estimator_records_history():
 def test_public_api():
     for name in phasedoa.__all__:
         assert hasattr(phasedoa, name), name
+
+
+def test_readme_library_example(capsys):
+    # the README's "Library use" block runs as written; its import fails
+    # if a name it takes from phasedoa leaves the package namespace
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    scope = {}
+    exec(compile(code, str(readme), "exec"), scope)
+    assert len(scope["idx"]) == 2
+    assert capsys.readouterr().out.startswith("[")
 
 
 @pytest.mark.parametrize("variant", ["pavbem", "pavbem_relaxed", "prvbem"])

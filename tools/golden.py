@@ -5,9 +5,10 @@
 Runs a fixed list of ``phasedoa`` commands in-process, each in its own
 directory under one temporary directory, and writes one JSON entry per
 command: the sha256 of its stdout, its last stderr line, its exit code and
-the sha256 of every file it wrote. An exception that escapes ``cli.main``
-is recorded as the command line would show it: exit code 1 and the
-traceback's last line. The package is imported from the
+the sha256 of every file it wrote. The config files that commands read
+are written first, to a directory of their own. An exception that
+escapes ``cli.main`` is recorded as the command line would show it: exit
+code 1 and the traceback's last line. The package is imported from the
 ``src/`` next to this script, so copying the script into another checkout
 records that checkout. Two records are compared with ``diff`` (the JSON is
 written one entry per line, in run order); a refactoring that should keep
@@ -37,6 +38,21 @@ SMALL_OBS = "../simulate-small/observation.txt"
 NOISY_OBS = "../simulate-noisy/observation.txt"  # as OBS, sigma^2=0.139
 SWEEP = (["sweep"] + SMALL + ["--set", "k_values=1,2",
                               "--set", "noise_grid=0.1,0.5", "--trials", "2"])
+# config files, written to configs/ of the temporary directory before the
+# first command; CONFIGS is that directory seen from a command's directory
+CONFIGS = "../configs/"
+CONFIG_FILES = {
+    # comments, blank lines and a repeated key (the later one wins)
+    "small.cfg": ("# the array of simulate-small\n"
+                  "n_sensors = 32\n"
+                  "grid_size = 8   # atoms\n"
+                  "\n"
+                  "k = 3\n"
+                  "k = 2\n"
+                  "variant = prvbem\n"
+                  "max_iterations = 5\n"),
+    "no-equals.cfg": "n_sensors = 32\ngrid_size 8\n",
+}
 
 
 def _calls():
@@ -93,6 +109,12 @@ def _calls():
                ["sweep"] + SMALL + ["--set", "k_values=0,8",
                                     "--set", "noise_grid=0.1",
                                     "--trials", "1"])]
+    est_cfg = ["estimate", SMALL_OBS, "--config", CONFIGS + "small.cfg"]
+    calls += [("config-file", est_cfg),
+              ("config-set-overrides-file",
+               est_cfg + ["--set", "variant=pavbem"]),
+              ("config-flag-overrides-set",
+               est_cfg + ["--set", "k=1", "--k", "3"])]
     for command in ("", "simulate", "estimate", "sweep"):
         calls.append(("help-%s" % (command or "top"),
                       ([command] if command else []) + ["--help"]))
@@ -150,6 +172,30 @@ def _calls():
          small_est + ["--set", "relax_iterations=0"]),
         ("reject-set-convergence-tol",
          small_est + ["--set", "convergence_tol=1e-3"]),
+        ("reject-config-no-equals",
+         ["estimate", SMALL_OBS, "--config", CONFIGS + "no-equals.cfg"]),
+        ("reject-config-missing-file",
+         ["estimate", SMALL_OBS, "--config", "missing.cfg"]),
+        ("reject-simulate-negative-noise-var",
+         ["simulate", "--output-dir", ".", "--noise-var", "-1"] + SMALL),
+        ("reject-simulate-negative-seed",
+         ["simulate", "--output-dir", ".", "--seed", "-1"] + SMALL),
+        ("reject-sweep-negative-seed", SWEEP + ["--seed", "-1"]),
+        ("reject-estimate-zero-k",
+         ["estimate", SMALL_OBS, "--k", "0"] + SMALL),
+        # a bad setting is reported before the file is read
+        ("reject-estimate-missing-file-bad-setting",
+         ["estimate", "missing.txt", "--set", "a=-1"] + SMALL),
+    ]
+    # values that only the model rejects
+    for name, setting in (("negative-a", "a=-1"),
+                          ("zero-sigma-theta-sq", "sigma_theta_sq=0"),
+                          ("infinite-sigma-1-sq", "sigma_1_sq=inf"),
+                          ("zero-sigma-x-sq", "sigma_x_sq=0"),
+                          ("nan-spacing-ratio", "spacing_ratio=nan")):
+        calls += [("reject-estimate-" + name, small_est + ["--set", setting]),
+                  ("reject-sweep-" + name, SWEEP + ["--set", setting])]
+    calls += [
         ("ignored-estimate-set-noise-var",
          small_est + ["--set", "noise_var=0.02"]),
         ("ignored-sweep-set-k", SWEEP + ["--set", "k=1"]),
@@ -185,6 +231,10 @@ def main(argv=None):
     here = os.getcwd()
     record = {}
     with tempfile.TemporaryDirectory() as root:
+        configs = Path(root) / "configs"
+        configs.mkdir()
+        for name, text in CONFIG_FILES.items():
+            (configs / name).write_text(text)
         try:
             for name, call in _calls():
                 cwd = Path(root) / name
